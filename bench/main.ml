@@ -9,7 +9,6 @@
     - schemes  Fig. 2: summary table of reclamation schemes
     - summary  §7/§8 scalar claims, paper vs measured
     - ablate   DEBRA design-choice ablations (§4)
-    - micro    Bechamel microbenchmarks of the Record Manager primitives
     - e-stall  stalled-process campaign: limbo time series, DEBRA vs DEBRA+
     - e-chaos  fault-injection campaign: crashes, signal loss, bounded memory
     - e-scale  context-count scaling campaign (64 -> 256 -> 1024): per-op
@@ -36,7 +35,7 @@
 let known =
   [
     "exp1"; "exp2"; "exp2-t4"; "exp3"; "memfig"; "schemes"; "summary";
-    "ablate"; "micro"; "e-stall"; "e-chaos"; "kv"; "e-overload"; "e-scale";
+    "ablate"; "e-stall"; "e-chaos"; "kv"; "e-overload"; "e-scale";
     "sweep"; "all";
   ]
 
@@ -49,7 +48,6 @@ let run_one ~scale = function
   | "schemes" -> Fig2.print ()
   | "summary" -> Summary.run ~scale
   | "ablate" -> Experiments.ablate ~scale
-  | "micro" -> Micro.run ()
   | "e-stall" -> Stall.run ~scale
   | "e-chaos" -> E_chaos.run ~scale
   | "kv" -> Kv_bench.run ~scale
@@ -169,7 +167,7 @@ let main experiments backend full sanitize json trace metrics_out chaos_seed
     if List.mem "all" experiments then
       [
         "schemes"; "exp1"; "exp2"; "exp2-t4"; "exp3"; "memfig"; "summary";
-        "ablate"; "micro"; "e-stall"; "e-chaos";
+        "ablate"; "e-stall"; "e-chaos";
       ]
     else experiments
   in

@@ -72,6 +72,15 @@ let name t = t.name
 let heap_id t = t.heap_id
 let events t = t.events
 let emit t ctx ev = Smr_event.emit t.events ctx ev
+
+(* Every event an arena emits carries a payload, so each emission point
+   tests for a listener before building it: an unobserved access allocates
+   nothing. *)
+let listening t = Smr_event.listening t.events
+
+let access_event t ctx p kind =
+  if listening t then emit t ctx (Smr_event.Access (p, kind))
+
 let capacity t = t.capacity
 let record_bytes t = 8 * (t.words_per_record + 1) (* +1: header word *)
 let set_checking t b = t.checking <- b
@@ -135,7 +144,7 @@ let claim_fresh ctx t =
   t.state.(slot) <- state_allocated;
   note_alloc t ctx;
   let p = Ptr.make ~arena:t.heap_id ~slot ~gen:t.gen.(slot) in
-  emit t ctx (Smr_event.Alloc p);
+  if listening t then emit t ctx (Smr_event.Alloc p);
   p
 
 let claim_recycled ctx t =
@@ -165,14 +174,14 @@ let claim_recycled ctx t =
       t.state.(slot) <- state_allocated;
       note_alloc t ctx;
       let p = Ptr.make ~arena:t.heap_id ~slot ~gen:t.gen.(slot) in
-      emit t ctx (Smr_event.Alloc p);
+      if listening t then emit t ctx (Smr_event.Alloc p);
       Some p
 
 let release ctx t p ~recycle =
   Runtime.Ctx.work ctx 2;
   (* Emitted before validation so a shadow checker can classify the free
      (double free, premature free) even when the arena itself raises. *)
-  emit t ctx (Smr_event.Free p);
+  if listening t then emit t ctx (Smr_event.Free p);
   let slot = Ptr.slot p in
   if
     slot < 0 || slot >= t.capacity
@@ -207,7 +216,7 @@ let const_index t p f =
 
 let read ctx t p f =
   Runtime.Ctx.access ctx ~line:(line_of t (Ptr.slot p) f) Runtime.Ctx.Read;
-  emit t ctx (Smr_event.Access (p, Smr_event.Read));
+  access_event t ctx p Smr_event.Read;
   check t p;
   Atomic.get t.data_mut.(mut_index t p f)
 
@@ -217,13 +226,13 @@ let read_opt ctx t p f =
 
 let write ctx t p f v =
   Runtime.Ctx.access ctx ~line:(line_of t (Ptr.slot p) f) Runtime.Ctx.Write;
-  emit t ctx (Smr_event.Access (p, Smr_event.Write));
+  access_event t ctx p Smr_event.Write;
   check t p;
   Atomic.set t.data_mut.(mut_index t p f) v
 
 let cas ctx t p f ~expect v =
   Runtime.Ctx.access ctx ~line:(line_of t (Ptr.slot p) f) Runtime.Ctx.Cas;
-  emit t ctx (Smr_event.Access (p, Smr_event.Cas));
+  access_event t ctx p Smr_event.Cas;
   check t p;
   Atomic.compare_and_set t.data_mut.(mut_index t p f) expect v
 
@@ -231,7 +240,7 @@ let get_const ctx t p f =
   Runtime.Ctx.access ctx
     ~line:(line_of t (Ptr.slot p) (t.mut_fields + f))
     Runtime.Ctx.Read;
-  emit t ctx (Smr_event.Access (p, Smr_event.Read));
+  access_event t ctx p Smr_event.Read;
   check t p;
   t.data_const.(const_index t p f)
 
@@ -239,7 +248,7 @@ let set_const ctx t p f v =
   Runtime.Ctx.access ctx
     ~line:(line_of t (Ptr.slot p) (t.mut_fields + f))
     Runtime.Ctx.Write;
-  emit t ctx (Smr_event.Access (p, Smr_event.Write));
+  access_event t ctx p Smr_event.Write;
   check t p;
   t.data_const.(const_index t p f) <- v
 

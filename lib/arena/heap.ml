@@ -7,6 +7,7 @@ type t = {
 let create () =
   { arenas = [||]; events = Smr_event.hub (); budget = Arena.budget_unlimited () }
 let events t = t.events
+let listening t = Smr_event.listening t.events
 let emit t ctx ev = Smr_event.emit t.events ctx ev
 let add_sink t sink = Smr_event.add_sink t.events sink
 let remove_sink t sub = Smr_event.remove_sink t.events sub

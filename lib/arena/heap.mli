@@ -11,9 +11,11 @@ val create : unit -> t
     several may be attached at once) and returns the subscription that
     [remove_sink] cancels; [emit] lets reclamation code publish protocol
     events (retire, protect, quiescence) on the same bus as the arenas'
-    lifecycle events. *)
+    lifecycle events.  [listening] is {!Smr_event.listening} on that bus:
+    callers test it before building an event that carries a payload. *)
 
 val events : t -> Smr_event.hub
+val listening : t -> bool
 val emit : t -> Runtime.Ctx.t -> Smr_event.t -> unit
 val add_sink : t -> Smr_event.sink -> Smr_event.subscription
 val remove_sink : t -> Smr_event.subscription -> unit

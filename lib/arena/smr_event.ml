@@ -3,9 +3,11 @@
     and by the telemetry recorder (lib/telemetry).
 
     A hub is owned by a {!Heap} and shared by every arena in it; reclamation
-    components reach it through their environment.  Emission is a single
-    option check when no sink is attached, so instrumented code pays nothing
-    in normal runs.
+    components reach it through their environment.  With no sink attached,
+    emitting a payload-free event ([Leave_q], [Enter_q], ...) is a single
+    option check, and every emission point whose event carries a payload
+    tests {!listening} before building it: an unobserved run allocates
+    nothing on this bus (checked by test/test_alloc.ml).
 
     Multiple sinks may be attached at once ({!add_sink} returns a
     subscription that {!remove_sink} cancels); the fast path stays a single
@@ -82,6 +84,11 @@ let remove_sink hub id =
   recompose hub
 
 let sink_count hub = List.length hub.sinks
+
+(* Guard for emission points whose event carries a payload: building the
+   event before [emit]'s own check would allocate on every instrumented
+   access of an unobserved run. *)
+let listening hub = match hub.sink with None -> false | Some _ -> true
 
 let emit hub ctx ev =
   match hub.sink with None -> () | Some f -> f ctx ev

@@ -43,25 +43,27 @@ let grow t =
         put (hash t old_keys.(i)))
     old_stamp
 
+(* The probe loops are top-level functions with explicit arguments, not
+   closures over [t] and [k]: a reclaimer's scan calls [mem] once per
+   limbo record and must not allocate for it. *)
+let rec insert_at t k i =
+  if t.stamp.(i) <> t.epoch then begin
+    t.keys.(i) <- k;
+    t.stamp.(i) <- t.epoch;
+    t.population <- t.population + 1
+  end
+  else if t.keys.(i) <> k then insert_at t k ((i + 1) land t.mask)
+
 let insert t k =
   if 2 * (t.population + 1) > t.mask then grow t;
-  let rec go i =
-    if t.stamp.(i) <> t.epoch then begin
-      t.keys.(i) <- k;
-      t.stamp.(i) <- t.epoch;
-      t.population <- t.population + 1
-    end
-    else if t.keys.(i) <> k then go ((i + 1) land t.mask)
-  in
-  go (hash t k)
+  insert_at t k (hash t k)
 
-let mem t k =
-  let rec go i =
-    if t.stamp.(i) <> t.epoch then false
-    else if t.keys.(i) = k then true
-    else go ((i + 1) land t.mask)
-  in
-  go (hash t k)
+let rec mem_at t k i =
+  if t.stamp.(i) <> t.epoch then false
+  else if t.keys.(i) = k then true
+  else mem_at t k ((i + 1) land t.mask)
+
+let mem t k = mem_at t k (hash t k)
 
 let clear t =
   t.epoch <- t.epoch + 1;

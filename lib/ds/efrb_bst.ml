@@ -150,15 +150,45 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
      and nodes are marked before they are retired, so [Clean] at validation
      time proves the child had not been retired when our announcement became
      visible.  Anything other than Clean is "suspicious" and restarts the
-     operation — the paper's workaround, which forfeits lock-freedom. *)
-  let protect_child t ctx s ~parent ~child =
-    match
-      T.acquire t.rm ctx s child ~verify:(fun () ->
-          state_of (update_of t ctx parent) = clean
-          && (left_of t ctx parent = child || right_of t ctx parent = child))
-    with
-    | Some _ -> true
-    | None -> false
+     operation — the paper's workaround, which forfeits lock-freedom.
+
+     The validation reads the step it checks from a per-search frame, so a
+     search builds one verify closure, not one per step.  A scheme whose
+     [protect] ignores the validation shares one frame holding
+     [T.unverified], which is never written. *)
+  type frame = {
+    mutable parent : Memory.Ptr.t;
+    mutable child : Memory.Ptr.t;
+    verify : unit -> bool;
+  }
+
+  let unverified_frame =
+    { parent = Memory.Ptr.null; child = Memory.Ptr.null; verify = T.unverified }
+
+  let frame t ctx =
+    if RM.protect_ignores_verify then unverified_frame
+    else
+      let rec f =
+        {
+          parent = Memory.Ptr.null;
+          child = Memory.Ptr.null;
+          verify =
+            (fun () ->
+              state_of (update_of t ctx f.parent) = clean
+              && (left_of t ctx f.parent = f.child
+                 || right_of t ctx f.parent = f.child));
+        }
+      in
+      f
+
+  let protect_child t ctx s f ~parent ~child =
+    if not RM.protect_ignores_verify then begin
+      f.parent <- parent;
+      f.child <- child
+    end;
+    match T.acquire t.rm ctx s child ~verify:f.verify with
+    | _ -> true
+    | exception Reclaim.Intf.Acquire_denied -> false
 
   type found = {
     gp : Memory.Ptr.t;  (* null iff p is the root *)
@@ -168,45 +198,44 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     gpupdate : int;
   }
 
+  let unprotect_maybe t ctx p =
+    if (not (Memory.Ptr.is_null p)) && p <> t.root then RM.unprotect t.rm ctx p
+
   (* Search from the root.  Under HP, [gp], [p] and [l] are protected on
-     return; epoch schemes traverse (possibly retired) nodes freely. *)
-  let search t ctx s key =
-    let unprotect_maybe p =
-      if (not (Memory.Ptr.is_null p)) && p <> t.root then
-        RM.unprotect t.rm ctx p
-    in
-    let rec step gp gpupdate p pupdate l =
-      if is_leaf t l then { gp; p; l; pupdate; gpupdate }
-      else begin
-        let gp' = p and gpupdate' = pupdate in
-        let p' = l in
-        let pupdate' = update_of t ctx p' in
-        let l' =
-          if key < key_of t ctx p' then left_of t ctx p'
-          else right_of t ctx p'
-        in
-        if not (protect_child t ctx s ~parent:p' ~child:l') then raise Restart;
-        unprotect_maybe gp;
-        step gp' gpupdate' p' pupdate' l'
-      end
-    in
-    let rec from_root () =
-      let pupdate = update_of t ctx t.root in
-      let l =
-        if key < inf2 then left_of t ctx t.root else right_of t ctx t.root
+     return; epoch schemes traverse (possibly retired) nodes freely.  The
+     steps are top-level functions, not closures over [key], so a search
+     allocates only its result and, under a validating scheme, its frame. *)
+  let rec search_step t ctx s f key gp gpupdate p pupdate l =
+    if is_leaf t l then { gp; p; l; pupdate; gpupdate }
+    else begin
+      let gp' = p and gpupdate' = pupdate in
+      let p' = l in
+      let pupdate' = update_of t ctx p' in
+      let l' =
+        if key < key_of t ctx p' then left_of t ctx p' else right_of t ctx p'
       in
-      if not (protect_child t ctx s ~parent:t.root ~child:l) then begin
-        RM.unprotect_all t.rm ctx;
-        from_root ()
-      end
-      else
-        match step Memory.Ptr.null 0 t.root pupdate l with
-        | found -> found
-        | exception Restart ->
-            RM.unprotect_all t.rm ctx;
-            from_root ()
+      if not (protect_child t ctx s f ~parent:p' ~child:l') then raise Restart;
+      unprotect_maybe t ctx gp;
+      search_step t ctx s f key gp' gpupdate' p' pupdate' l'
+    end
+
+  let rec search_with t ctx s f key =
+    let pupdate = update_of t ctx t.root in
+    let l =
+      if key < inf2 then left_of t ctx t.root else right_of t ctx t.root
     in
-    from_root ()
+    if not (protect_child t ctx s f ~parent:t.root ~child:l) then begin
+      RM.unprotect_all t.rm ctx;
+      search_with t ctx s f key
+    end
+    else
+      match search_step t ctx s f key Memory.Ptr.null 0 t.root pupdate l with
+      | found -> found
+      | exception Restart ->
+          RM.unprotect_all t.rm ctx;
+          search_with t ctx s f key
+
+  let search t ctx s key = search_with t ctx s (frame t ctx) key
 
   (* [cas_child parent old new_] replaces child [old] of [parent]; helpers
      race benignly because each transition happens at most once. *)
@@ -226,7 +255,11 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
       [ old_info ]
     else []
 
-  let retire_all t ctx ws = List.iter (fun w -> T.retire t.rm ctx w) ws
+  let rec retire_all t ctx = function
+    | [] -> ()
+    | w :: ws ->
+        T.retire t.rm ctx w;
+        retire_all t ctx ws
 
   (* Help routines.  [deep] tells whether we may recursively help unrelated
      operations: true in operation bodies, false in neutralization recovery,
@@ -357,11 +390,16 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     finish_op t ctx;
     r
 
-  let rprotect_for_recovery t ctx ~records ~desc =
+  let rprotect_record t ctx r =
+    if not (Memory.Ptr.is_null r) then RM.rprotect t.rm ctx r
+
+  (* RProtect the records an operation names ([gp] is null for an insert),
+     then its descriptor. *)
+  let rprotect_for_recovery t ctx ~gp ~p ~l ~desc =
     if RM.supports_crash_recovery then begin
-      List.iter
-        (fun r -> if not (Memory.Ptr.is_null r) then RM.rprotect t.rm ctx r)
-        records;
+      rprotect_record t ctx gp;
+      rprotect_record t ctx p;
+      rprotect_record t ctx l;
       RM.rprotect t.rm ctx desc (* the descriptor last: it implies the rest *)
     end
 
@@ -424,7 +462,7 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
               T.init_const t.rm ctx t.info op c_l l;
               T.init_const t.rm ctx t.info op c_new new_internalp;
               T.init_const t.rm ctx t.info op c_pupdate pupdate;
-              rprotect_for_recovery t ctx ~records:[ p; l ] ~desc:opp;
+              rprotect_for_recovery t ctx ~gp:Memory.Ptr.null ~p ~l ~desc:opp;
               let flagged = pack t ~state:iflag ~info:opp in
               match
                 T.cas_at t.rm ctx t.internal p f_update ~expect:pupdate flagged
@@ -499,7 +537,7 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
                 T.init_const t.rm ctx t.info op c_l l;
                 T.init_const t.rm ctx t.info op c_new Memory.Ptr.null;
                 T.init_const t.rm ctx t.info op c_pupdate pupdate;
-                rprotect_for_recovery t ctx ~records:[ gp; p; l ] ~desc:opp;
+                rprotect_for_recovery t ctx ~gp ~p ~l ~desc:opp;
                 let flagged = pack t ~state:dflag ~info:opp in
                 match
                   T.cas_at t.rm ctx t.internal gp f_update ~expect:gpupdate
@@ -579,7 +617,7 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
                 T.init_const t.rm ctx t.info op c_l l;
                 T.init_const t.rm ctx t.info op c_new Memory.Ptr.null;
                 T.init_const t.rm ctx t.info op c_pupdate pupdate;
-                rprotect_for_recovery t ctx ~records:[ gp; p; l ] ~desc:opp;
+                rprotect_for_recovery t ctx ~gp ~p ~l ~desc:opp;
                 let flagged = pack t ~state:dflag ~info:opp in
                 match
                   T.cas_at t.rm ctx t.internal gp f_update ~expect:gpupdate

@@ -81,11 +81,13 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
       if Memory.Ptr.is_null cur then (prev, None)
       else begin
         let cur = Memory.Ptr.unmark cur in
-        match
-          T.acquire t.rm ctx s cur ~verify:(fun () -> next_of t ctx prev = cur)
-        with
-        | None -> raise Restart
-        | Some curg -> (
+        let verify =
+          if RM.protect_ignores_verify then T.unverified
+          else fun () -> next_of t ctx prev = cur
+        in
+        match T.acquire t.rm ctx s cur ~verify with
+        | exception Reclaim.Intf.Acquire_denied -> raise Restart
+        | curg -> (
             let next = next_of t ctx curg in
             if Memory.Ptr.is_marked next then begin
               (* cur is logically deleted: unlink it. *)

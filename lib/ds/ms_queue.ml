@@ -63,8 +63,8 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
             T.acquire t.rm ctx s tail ~verify:(fun () ->
                 Runtime.Svar.get ctx t.tail = tail)
           with
-          | None -> attempt ()
-          | Some tailg ->
+          | exception Reclaim.Intf.Acquire_denied -> attempt ()
+          | tailg ->
               let next = T.read t.rm ctx t.arena tailg f_next in
               if not (Memory.Ptr.is_null next) then begin
                 (* Help swing the lagging tail. *)
@@ -112,8 +112,8 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
               T.acquire t.rm ctx s head ~verify:(fun () ->
                   Runtime.Svar.get ctx t.head = head)
             with
-            | None -> attempt ()
-            | Some headg -> (
+            | exception Reclaim.Intf.Acquire_denied -> attempt ()
+            | headg -> (
                 let tail = Runtime.Svar.get ctx t.tail in
                 let next = T.read t.rm ctx t.arena headg f_next in
                 if Memory.Ptr.is_null next then begin
@@ -131,10 +131,10 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
                            retired (Michael's original re-check). *)
                         Runtime.Svar.get ctx t.head = head)
                   with
-                  | None ->
+                  | exception Reclaim.Intf.Acquire_denied ->
                       T.release t.rm ctx headg;
                       attempt ()
-                  | Some nextg ->
+                  | nextg ->
                       if head = tail then begin
                         (* Tail is lagging: help it forward, then retry. *)
                         ignore (Runtime.Svar.cas ctx t.tail ~expect:tail next);

@@ -155,12 +155,13 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     let protect_step pred curr l =
       is_sentinel t curr
       ||
-      match
-        T.acquire t.rm ctx s curr ~verify:(fun () ->
-            next_of t ctx pred l = curr)
-      with
-      | Some _ -> true
-      | None -> false
+      let verify =
+        if RM.protect_ignores_verify then T.unverified
+        else fun () -> next_of t ctx pred l = curr
+      in
+      match T.acquire t.rm ctx s curr ~verify with
+      | _ -> true
+      | exception Reclaim.Intf.Acquire_denied -> false
     in
     let rec attempt () =
       Array.fill preds 0 max_level Memory.Ptr.null;

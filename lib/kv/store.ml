@@ -265,8 +265,8 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
       sh.fold ctx ek ~f:(fun s ~value ~live ->
           (* Chain the payload guard off the index node's liveness. *)
           match T.acquire sh.rm ctx s value ~verify:live with
-          | None -> Retry
-          | Some g ->
+          | exception Reclaim.Intf.Acquire_denied -> Retry
+          | g ->
               let deadline =
                 T.get_const sh.rm ctx sh.payload g Codec.c_expiry
               in

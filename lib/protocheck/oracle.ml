@@ -1,7 +1,8 @@
 (** The branching oracle: drives a structure down one symbolic path.
 
     Every [Typed.acquire] and every lifecycle CAS consults
-    {!Reclaim.Intf.Env.decide}; the oracle numbers those decision points in
+    {!Reclaim.Intf.Env.decide_acquire} or {!Reclaim.Intf.Env.decide_cas};
+    the oracle numbers those decision points in
     program order and answers [Adversary] exactly at the indices in its
     [deny] set — simulating a failed validation or a lost CAS without any
     concurrent process.  Because an index is consumed once, a retry loop

@@ -41,6 +41,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let name = "debra"
   let supports_crash_recovery = false
   let allows_retired_traversal = true
+  let protect_ignores_verify = true
   let sandboxed = false
 
   let create env pool =
@@ -104,7 +105,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
           + (if complete then Bag.Blockbag.drain_blocks bag ~into
              else Bag.Blockbag.move_all_full_blocks bag ~into))
       l.bags;
-    if !released > 0 then
+    if !released > 0 && Intf.Env.listening t.env then
       Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep !released);
     !released
 
@@ -134,8 +135,9 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
           && l.check_next >= params.Intf.Params.incr_thresh
           && Runtime.Svar.cas ctx t.epoch ~expect:read_epoch (read_epoch + 2)
         then
-          Intf.Env.emit t.env ctx
-            (Memory.Smr_event.Epoch_advance (read_epoch + 2))
+          if Intf.Env.listening t.env then
+            Intf.Env.emit t.env ctx
+              (Memory.Smr_event.Epoch_advance (read_epoch + 2))
       end
     end;
     l.ann <- read_epoch;
@@ -151,7 +153,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       ctx.Runtime.Ctx.stats.Runtime.Ctx.retires + 1;
     Runtime.Ctx.work ctx 2;
     let p = Memory.Ptr.unmark p in
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     Bag.Blockbag.add (current_bag l (Memory.Ptr.arena_id p)) p
 
@@ -223,7 +226,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       if not (epoch_of a = e || quiescent_bit a) then all_ok := false
     done;
     if !all_ok && Runtime.Svar.cas ctx t.epoch ~expect:e (e + 2) then begin
-      Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (e + 2));
+      if Intf.Env.listening t.env then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (e + 2));
       ignore (observe ())
     end;
     !freed

@@ -47,6 +47,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let name = "debra+"
   let supports_crash_recovery = true
   let allows_retired_traversal = true
+  let protect_ignores_verify = true
   let sandboxed = false
 
   let epoch_of ann = ann land lnot 1
@@ -133,7 +134,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     Runtime.Shared_array.set ctx t.rp_count pid (c + 1);
     Runtime.Ctx.fence ctx;
     (* After the count write: the announcement is now visible to scans. *)
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Rprotect (Memory.Ptr.unmark p))
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Rprotect (Memory.Ptr.unmark p))
 
   let runprotect_all t ctx =
     (* Before the count write: the announcements are still visible. *)
@@ -181,7 +183,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
                   ~release:(fun ctx p -> P.release t.pool ctx p)
                   ~release_block:(fun b -> P.release_block t.pool ctx b))
         l.bags;
-      if !released > 0 then
+      if !released > 0 && Intf.Env.listening t.env then
         Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep !released)
     end;
     !released
@@ -203,7 +205,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
          if not g.Runtime.Group.signals_unreliable then
            match Runtime.Group.send_signal g ~from:ctx ~target:other with
            | true ->
-               Intf.Env.emit t.env ctx (Memory.Smr_event.Signal_sent other);
+               if Intf.Env.listening t.env then
+                 Intf.Env.emit t.env ctx (Memory.Smr_event.Signal_sent other);
                true
            | false -> true (* ESRCH: crashed, permanently quiescent *)
          else begin
@@ -212,7 +215,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
            if a = 0 || now - l.sig_last.(other) >= 64 * (1 lsl min a 10) then
              (match Runtime.Group.send_signal g ~from:ctx ~target:other with
              | true ->
-                 Intf.Env.emit t.env ctx (Memory.Smr_event.Signal_sent other);
+                 if Intf.Env.listening t.env then
+                   Intf.Env.emit t.env ctx (Memory.Smr_event.Signal_sent other);
                  l.sig_attempts.(other) <- a + 1;
                  l.sig_last.(other) <- now;
                  false
@@ -253,8 +257,9 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
           && l.check_next >= params.Intf.Params.incr_thresh
           && Runtime.Svar.cas ctx t.epoch ~expect:read_epoch (read_epoch + 2)
         then
-          Intf.Env.emit t.env ctx
-            (Memory.Smr_event.Epoch_advance (read_epoch + 2))
+          if Intf.Env.listening t.env then
+            Intf.Env.emit t.env ctx
+              (Memory.Smr_event.Epoch_advance (read_epoch + 2))
       end
     end;
     l.ann <- read_epoch;
@@ -270,7 +275,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       ctx.Runtime.Ctx.stats.Runtime.Ctx.retires + 1;
     Runtime.Ctx.work ctx 2;
     let p = Memory.Ptr.unmark p in
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     Bag.Blockbag.add l.bags.(Memory.Ptr.arena_id p).(l.index) p
 
@@ -362,14 +368,17 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
               match Runtime.Group.send_signal g ~from:ctx ~target:other with
               | false -> () (* ESRCH: crashed, permanently quiescent *)
               | true ->
-                  Intf.Env.emit t.env ctx (Memory.Smr_event.Signal_sent other);
+                  if Intf.Env.listening t.env then
+                    Intf.Env.emit t.env ctx
+                      (Memory.Smr_event.Signal_sent other);
                   if not reliable then all_ok := false
           end
         done;
         if !all_ok then begin
           advanced := true;
           if Runtime.Svar.cas ctx t.epoch ~expect:e (e + 2) then begin
-            Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (e + 2));
+            if Intf.Env.listening t.env then
+              Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (e + 2));
             ignore (observe ())
           end
         end

@@ -24,6 +24,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let name = "ebr"
   let supports_crash_recovery = false
   let allows_retired_traversal = true
+  let protect_ignores_verify = true
   let sandboxed = false
 
   let create env pool =
@@ -70,13 +71,14 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       if not (epoch_of a = e || quiescent_bit a) then all_ok := false
     done;
     if !all_ok && Runtime.Svar.cas ctx t.epoch ~expect:e (e + 2) then begin
-      Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (e + 2));
+      if Intf.Env.listening t.env then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (e + 2));
       (* The new epoch is e+2; records retired in epoch e-2 are now safe. *)
       let safe = bag_of t (e + 4) (* (e+4)/2 mod 3 = (e-2)/2 mod 3 *) in
       let released =
         Bag.Shared_intbag.drain ctx safe (fun p -> P.release t.pool ctx p)
       in
-      if released > 0 then
+      if released > 0 && Intf.Env.listening t.env then
         Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep released)
     end
 
@@ -99,7 +101,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     ctx.Runtime.Ctx.stats.Runtime.Ctx.retires <-
       ctx.Runtime.Ctx.stats.Runtime.Ctx.retires + 1;
     let p = Memory.Ptr.unmark p in
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
     let e = Runtime.Svar.get ctx t.epoch in
     Bag.Shared_intbag.push ctx (bag_of t e) p
 
@@ -147,12 +150,13 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       if not (epoch_of a = e || quiescent_bit a) then all_ok := false
     done;
     if !all_ok && Runtime.Svar.cas ctx t.epoch ~expect:e (e + 2) then begin
-      Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (e + 2));
+      if Intf.Env.listening t.env then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (e + 2));
       let safe = bag_of t (e + 4) in
       let released =
         Bag.Shared_intbag.drain ctx safe (fun p -> P.release t.pool ctx p)
       in
-      if released > 0 then
+      if released > 0 && Intf.Env.listening t.env then
         Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep released);
       released
     end

@@ -32,6 +32,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let name = "hp"
   let supports_crash_recovery = false
   let allows_retired_traversal = false
+  let protect_ignores_verify = false
   let sandboxed = false
 
   let create env pool =
@@ -86,26 +87,38 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
 
   let is_quiescent _t _ctx = false
 
+  (* Slot search in the local mirror (0 = free).  Top-level functions with
+     explicit arguments, not closures local to [protect]/[unprotect]: a
+     traversal step allocates nothing. *)
+  let rec free_slot mirror i ~full =
+    if i >= Array.length mirror then invalid_arg full
+    else if mirror.(i) = 0 then i
+    else free_slot mirror (i + 1) ~full
+
+  let rec slot_of mirror p i =
+    if i >= Array.length mirror then -1
+    else if mirror.(i) = p then i
+    else slot_of mirror p (i + 1)
+
   let protect t ctx p ~verify =
     let pid = ctx.Runtime.Ctx.pid in
     let l = t.locals.(pid) in
     let p = Memory.Ptr.unmark p in
-    let rec free_slot i =
-      if i >= t.k then
-        invalid_arg "Hp.protect: out of hazard-pointer slots (raise hp_slots)"
-      else if l.slots_mirror.(i) = 0 then i
-      else free_slot (i + 1)
+    let i =
+      free_slot l.slots_mirror 0
+        ~full:"Hp.protect: out of hazard-pointer slots (raise hp_slots)"
     in
-    let i = free_slot 0 in
     l.slots_mirror.(i) <- p;
     Runtime.Shared_array.set ctx t.rows.(pid) i p;
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
     (* The barrier that makes the announcement visible before the record is
        re-verified — the cost HP pays on every newly reached record. *)
     Runtime.Ctx.fence ctx;
     if verify () then true
     else begin
-      Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
+      if Intf.Env.listening t.env then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
       l.slots_mirror.(i) <- 0;
       Runtime.Shared_array.set ctx t.rows.(pid) i 0;
       false
@@ -115,16 +128,13 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     let pid = ctx.Runtime.Ctx.pid in
     let l = t.locals.(pid) in
     let p = Memory.Ptr.unmark p in
-    let rec go i =
-      if i < t.k then
-        if l.slots_mirror.(i) = p then begin
-          Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
-          l.slots_mirror.(i) <- 0;
-          Runtime.Shared_array.set ctx t.rows.(pid) i 0
-        end
-        else go (i + 1)
-    in
-    go 0
+    let i = slot_of l.slots_mirror p 0 in
+    if i >= 0 then begin
+      if Intf.Env.listening t.env then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
+      l.slots_mirror.(i) <- 0;
+      Runtime.Shared_array.set ctx t.rows.(pid) i 0
+    end
 
   let is_protected t ctx p =
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
@@ -145,7 +155,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
           + Scan_util.partition_and_release ctx bag ~protected:scanning
               ~release_block:(fun b -> P.release_block t.pool ctx b))
       l.bags;
-    if !released > 0 then
+    if !released > 0 && Intf.Env.listening t.env then
       Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep !released)
 
   let retire t ctx p =
@@ -153,7 +163,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       ctx.Runtime.Ctx.stats.Runtime.Ctx.retires + 1;
     Runtime.Ctx.work ctx 2;
     let p = Memory.Ptr.unmark p in
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     Bag.Blockbag.add l.bags.(Memory.Ptr.arena_id p) p;
     let total = Array.fold_left (fun acc b -> acc + Bag.Blockbag.size b) 0 l.bags in
@@ -210,7 +221,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
               ~release:(fun ctx p -> P.release t.pool ctx p)
               ~release_block:(fun blk -> P.release_block t.pool ctx blk))
       l.bags;
-    if !released > 0 then
+    if !released > 0 && Intf.Env.listening t.env then
       Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep !released);
     !released
 end

@@ -77,6 +77,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let name = "hyaline"
   let supports_crash_recovery = false
   let allows_retired_traversal = true
+  let protect_ignores_verify = true
   let sandboxed = false
 
   let fresh_batch env n pid =
@@ -126,7 +127,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
         in
         go ())
       b.bags;
-    if b.size > 0 then Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep b.size)
+    if b.size > 0 && Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep b.size)
 
   (* Drop this process' reference on every batch handed to it; returns the
      batches whose last reference we dropped (we own their freeing).  Host
@@ -209,7 +211,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       l.open_batch <- fresh_batch t.env n ctx.Runtime.Ctx.pid;
       let e = Runtime.Svar.get ctx t.era in
       ignore (Runtime.Svar.cas ctx t.era ~expect:e (e + 1));
-      Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (e + 1));
+      if Intf.Env.listening t.env then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (e + 1));
       let charged = ref 0 in
       for pid = 0 to n - 1 do
         let a = Runtime.Shared_array.get ctx t.slots pid in
@@ -243,7 +246,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       ctx.Runtime.Ctx.stats.Runtime.Ctx.retires + 1;
     Runtime.Ctx.work ctx 2;
     let p = Memory.Ptr.unmark p in
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     let b = l.open_batch in
     (* stamp the watermark: one shared era read per retire *)

@@ -62,8 +62,9 @@ end
     it went through the typed Record Manager surface
     ({!RECORD_MANAGER.Typed}): which records are private, which CAS
     published or unlinked what, which sentinels are permanent.  A protocol
-    analyzer (lib/protocheck) consumes both streams; production runs attach
-    neither hook and pay one option check per witness operation. *)
+    analyzer (lib/protocheck) consumes both streams.  Production runs attach
+    neither hook: each witness operation then costs one or two option checks
+    and builds no event or decision point (checked by test/test_alloc.ml). *)
 module Protocol = struct
   type event =
     | Fresh of Memory.Ptr.t
@@ -124,17 +125,39 @@ module Env = struct
 
   let nprocs t = Runtime.Group.nprocs t.group
 
-  (** Publish an SMR protocol event on the heap's event bus (free when no
-      sink is attached; see {!Memory.Smr_event}). *)
+  (** [true] when a sink listens on the heap's event bus.  Reclaimers test
+      it before building an event that carries a payload ([Retire p],
+      [Protect p], [Sweep n], ...), so an unobserved run allocates nothing
+      for them; see {!Memory.Smr_event}. *)
+  let listening t = Memory.Heap.listening t.heap
+
+  (** Publish an SMR protocol event on the heap's event bus.  With no sink
+      attached this is one option check, but the caller has already paid
+      for building [ev]: guard payload-carrying events with {!listening}. *)
   let emit t ctx ev = Memory.Heap.emit t.heap ctx ev
 
-  (** Publish a witness-level protocol event (free when no monitor). *)
+  (** [true] when a protocol monitor is attached.  The typed surface tests
+      it before building a {!Protocol.event}, so an unmonitored run
+      allocates nothing for them. *)
+  let monitored t = match t.monitor with None -> false | Some _ -> true
+
+  (** Publish a witness-level protocol event to the monitor, if any; guard
+      with {!monitored} to avoid building [ev] for nobody. *)
   let observe t ctx ev =
     match t.monitor with None -> () | Some f -> f ctx ev
 
-  (** Consult the branching oracle; [Grant] when none is attached. *)
-  let decide t ctx point =
-    match t.oracle with None -> Protocol.Grant | Some f -> f ctx point
+  (** Consult the branching oracle on a guard acquisition / lifecycle CAS of
+      [p]; [Grant] when none is attached.  The decision point is built only
+      when an oracle is there to receive it. *)
+  let decide_acquire t ctx p =
+    match t.oracle with
+    | None -> Protocol.Grant
+    | Some f -> f ctx (Protocol.Acquire_point p)
+
+  let decide_cas t ctx p =
+    match t.oracle with
+    | None -> Protocol.Grant
+    | Some f -> f ctx (Protocol.Cas_point p)
 end
 
 module type ALLOCATOR = sig
@@ -193,6 +216,14 @@ module type RECLAIMER = sig
       another retired record (epoch-style schemes).  HP-style schemes return
       [false] and rely on [protect]'s verification. *)
   val allows_retired_traversal : bool
+
+  (** [true] when [protect] never runs its [verify] argument: the epoch-style
+      schemes, and ThreadScan and StackTrack, whose announcements need no
+      validation.  A data structure may then pass
+      {!RECORD_MANAGER.Typed.unverified} instead of building a validation
+      closure at every traversal step.  It must still call [protect], which
+      may do instrumented work (ThreadScan announces a root). *)
+  val protect_ignores_verify : bool
 
   (** [true] for schemes that sandbox accesses to reclaimed memory
       (StackTrack's HTM, Optimistic Access): the data structure must treat
@@ -307,6 +338,11 @@ module Pressure = struct
     }
 end
 
+(** Raised by {!RECORD_MANAGER.Typed.acquire} when a record could not be
+    secured: the traversal must restart.  A constant exception, so an
+    acquire that succeeds returns a bare guard and allocates nothing. *)
+exception Acquire_denied
+
 (** The assembled interface a data structure programs against. *)
 module type RECORD_MANAGER = sig
   module Alloc : ALLOCATOR
@@ -329,6 +365,7 @@ module type RECORD_MANAGER = sig
 
   val supports_crash_recovery : bool
   val allows_retired_traversal : bool
+  val protect_ignores_verify : bool
   val sandboxed : bool
   val leave_qstate : t -> Runtime.Ctx.t -> unit
   val enter_qstate : t -> Runtime.Ctx.t -> unit
@@ -404,8 +441,9 @@ module type RECORD_MANAGER = sig
     (** Evidence of being inside one operation attempt under the Fig. 5
         recovery shell; issued only by {!run_op}. *)
 
-    type guard
-    (** Evidence that one record may be dereferenced right now. *)
+    type guard [@@immediate]
+    (** Evidence that one record may be dereferenced right now.  An
+        unboxed pointer at run time: issuing one allocates nothing. *)
 
     type fresh
     (** Evidence that a record is allocated but still private: no other
@@ -449,15 +487,17 @@ module type RECORD_MANAGER = sig
     (** Guards. *)
 
     val acquire :
-      t ->
-      Runtime.Ctx.t ->
-      session ->
-      Memory.Ptr.t ->
-      verify:(unit -> bool) ->
-      guard option
-    (** [protect] with its validation step, as a witness issuer: [None]
-        means the record could not be secured and the traversal must
-        restart. *)
+      t -> Runtime.Ctx.t -> session -> Memory.Ptr.t -> verify:(unit -> bool) ->
+      guard
+    (** [protect] with its validation step, as a witness issuer.  Raises
+        {!Acquire_denied} when the record could not be secured and the
+        traversal must restart. *)
+
+    val unverified : unit -> bool
+    (** The [verify] to pass under a scheme that [protect_ignores_verify],
+        so a traversal step builds no closure.  It raises
+        [Invalid_argument] if it is ever run: a scheme that declared the
+        fact wrongly fails loudly instead of skipping its validation. *)
 
     val root_guard : t -> session -> Memory.Ptr.t -> guard
     (** Guard for a record declared via {!sentinel}: permanent records need

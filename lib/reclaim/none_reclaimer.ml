@@ -12,6 +12,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let create env _pool = env
   let supports_crash_recovery = false
   let allows_retired_traversal = true
+  let protect_ignores_verify = true
   let sandboxed = false
   let leave_qstate t ctx = Intf.Env.emit t ctx Memory.Smr_event.Leave_q
   let enter_qstate t ctx = Intf.Env.emit t ctx Memory.Smr_event.Enter_q
@@ -24,7 +25,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let retire t ctx p =
     ctx.Runtime.Ctx.stats.Runtime.Ctx.retires <-
       ctx.Runtime.Ctx.stats.Runtime.Ctx.retires + 1;
-    Intf.Env.emit t ctx (Memory.Smr_event.Retire (Memory.Ptr.unmark p))
+    if Intf.Env.listening t then
+      Intf.Env.emit t ctx (Memory.Smr_event.Retire (Memory.Ptr.unmark p))
 
   let rprotect _t _ctx _p = ()
   let runprotect_all _t _ctx = ()

@@ -69,7 +69,13 @@ module Shared (A : Intf.ALLOCATOR) : Intf.POOL with module Alloc = A = struct
   (* Pooled records keep their generation: they will be handed out again
      without passing through the arena, so put/take events are the only
      trace of their reuse a shadow checker can see. *)
-  let emit_put t ctx p = Intf.Env.emit t.env ctx (Memory.Smr_event.Pool_put p)
+  let emit_put t ctx p =
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Pool_put p)
+
+  let emit_take t ctx p =
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Pool_take p)
 
   let release t ctx p =
     let aid = Memory.Ptr.arena_id p in
@@ -103,10 +109,9 @@ module Shared (A : Intf.ALLOCATOR) : Intf.POOL with module Alloc = A = struct
     let aid = Memory.Arena.heap_id arena in
     let bag = t.local.(aid).(ctx.Runtime.Ctx.pid) in
     Runtime.Ctx.work ctx 2;
-    let took p = Intf.Env.emit t.env ctx (Memory.Smr_event.Pool_take p) in
     match Bag.Blockbag.pop bag with
     | Some p ->
-        took p;
+        emit_take t ctx p;
         p
     | None -> (
         match Bag.Shared_bag.pop ctx t.shared.(aid) with
@@ -114,7 +119,7 @@ module Shared (A : Intf.ALLOCATOR) : Intf.POOL with module Alloc = A = struct
             Bag.Blockbag.add_block bag b;
             (match Bag.Blockbag.pop bag with
             | Some p ->
-                took p;
+                emit_take t ctx p;
                 p
             | None -> A.allocate t.alloc ctx arena)
         | None -> A.allocate t.alloc ctx arena)

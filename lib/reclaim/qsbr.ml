@@ -47,6 +47,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let name = "qsbr"
   let supports_crash_recovery = false
   let allows_retired_traversal = true
+  let protect_ignores_verify = true
   let sandboxed = false
 
   let fresh_batch env pid =
@@ -112,7 +113,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
           if batch_safe t ctx oldest then begin
             let released = batch_size oldest in
             free_batch t ctx oldest;
-            if released > 0 then
+            if released > 0 && Intf.Env.listening t.env then
               Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep released);
             l.closed <-
               List.filter (fun b -> not (b == oldest)) l.closed
@@ -144,7 +145,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       ctx.Runtime.Ctx.stats.Runtime.Ctx.retires + 1;
     Runtime.Ctx.work ctx 2;
     let p = Memory.Ptr.unmark p in
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     Bag.Blockbag.add l.open_batch.bags.(Memory.Ptr.arena_id p) p;
     if batch_size l.open_batch >= t.batch_records then close_batch t ctx l
@@ -194,7 +196,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     in
     List.iter (free_batch t ctx) safe;
     l.closed <- blocked;
-    if released > 0 then
+    if released > 0 && Intf.Env.listening t.env then
       Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep released);
     released
 end

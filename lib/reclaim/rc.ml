@@ -44,6 +44,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let name = "rc"
   let supports_crash_recovery = false
   let allows_retired_traversal = false
+  let protect_ignores_verify = false
   let sandboxed = false
 
   let create env pool =
@@ -86,7 +87,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     ignore (Runtime.Shared_array.faa ctx c slot 1);
     (* The increment is visible: the shadow hazard window opens here and is
        closed (Unprotect) before the undo decrement on failure. *)
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
     let arena = Memory.Heap.arena_of t.env.Intf.Env.heap p in
     if Memory.Arena.is_valid arena p && verify () then begin
       t.locals.(ctx.Runtime.Ctx.pid).held <-
@@ -94,7 +96,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       true
     end
     else begin
-      Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
+      if Intf.Env.listening t.env then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
       ignore (Runtime.Shared_array.faa ctx c slot (-1));
       false
     end
@@ -113,7 +116,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     in
     match remove_first l.held with
     | Some held ->
-        Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
+        if Intf.Env.listening t.env then
+          Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
         l.held <- held;
         decrement t ctx p
     | None -> ()
@@ -160,7 +164,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
                   P.release_block t.pool ctx b)
         end)
       l.bags;
-    if !released > 0 then
+    if !released > 0 && Intf.Env.listening t.env then
       Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep !released)
 
   let retire t ctx p =
@@ -168,7 +172,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       ctx.Runtime.Ctx.stats.Runtime.Ctx.retires + 1;
     Runtime.Ctx.work ctx 2;
     let p = Memory.Ptr.unmark p in
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     Bag.Blockbag.add l.bags.(Memory.Ptr.arena_id p) p;
     let total =
@@ -223,7 +228,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
                 ~release_block:(fun b -> P.release_block t.pool ctx b)
         end)
       l.bags;
-    if !released > 0 then
+    if !released > 0 && Intf.Env.listening t.env then
       Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep !released);
     !released
 end

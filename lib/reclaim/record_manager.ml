@@ -60,21 +60,23 @@ module Make
      surface to the data structure. *)
   let patience = 64
 
-  let alloc t ctx arena =
-    let rec attempt fruitless =
-      try Pool.allocate t.pool ctx arena
-      with (Memory.Arena.Out_of_memory _ | Memory.Arena.Arena_full _) as e ->
-        if emergency_reclaim t ctx > 0 then attempt 0
-        else begin
-          t.pressure.Intf.Pressure.alloc_retries <-
-            t.pressure.Intf.Pressure.alloc_retries + 1;
-          if fruitless + 1 >= patience then raise e else attempt (fruitless + 1)
-        end
-    in
-    attempt 0
+  let rec alloc_after t ctx arena ~fruitless =
+    try Pool.allocate t.pool ctx arena
+    with (Memory.Arena.Out_of_memory _ | Memory.Arena.Arena_full _) as e ->
+      if emergency_reclaim t ctx > 0 then alloc_after t ctx arena ~fruitless:0
+      else begin
+        t.pressure.Intf.Pressure.alloc_retries <-
+          t.pressure.Intf.Pressure.alloc_retries + 1;
+        if fruitless + 1 >= patience then raise e
+        else alloc_after t ctx arena ~fruitless:(fruitless + 1)
+      end
+
+  let alloc t ctx arena = alloc_after t ctx arena ~fruitless:0
+
   let dealloc t ctx p = Pool.release t.pool ctx p
   let supports_crash_recovery = Reclaimer.supports_crash_recovery
   let allows_retired_traversal = Reclaimer.allows_retired_traversal
+  let protect_ignores_verify = Reclaimer.protect_ignores_verify
   let sandboxed = Reclaimer.sandboxed
   let leave_qstate t ctx = Reclaimer.leave_qstate t.reclaimer ctx
   let enter_qstate t ctx = Reclaimer.enter_qstate t.reclaimer ctx
@@ -100,50 +102,51 @@ module Make
      simulated transaction abort, and it is recovered from exactly like a
      neutralization: the recover closure either finishes the operation from
      its published descriptor or asks for a restart. *)
-  let run_op t ctx ~recover body =
-    let rec attempt () =
-      match body () with
-      | v -> v
-      | exception Runtime.Ctx.Neutralized -> (
-          match recover () with Some v -> v | None -> attempt ())
-      | exception Memory.Arena.Use_after_free _ when Reclaimer.sandboxed -> (
-          (* The aborted segment's register file is discarded with it. *)
-          Reclaimer.unprotect_all t.reclaimer ctx;
-          match recover () with
-          | Some v -> v
-          | None -> attempt ()
-          | exception Memory.Arena.Use_after_free _ -> attempt ())
-    in
-    attempt ()
+  let rec run_op_on t ctx ~recover body arg =
+    match body arg with
+    | v -> v
+    | exception Runtime.Ctx.Neutralized -> (
+        match recover () with
+        | Some v -> v
+        | None -> run_op_on t ctx ~recover body arg)
+    | exception Memory.Arena.Use_after_free _ when Reclaimer.sandboxed -> (
+        (* The aborted segment's register file is discarded with it. *)
+        Reclaimer.unprotect_all t.reclaimer ctx;
+        match recover () with
+        | Some v -> v
+        | None -> run_op_on t ctx ~recover body arg
+        | exception Memory.Arena.Use_after_free _ ->
+            run_op_on t ctx ~recover body arg)
+
+  let run_op t ctx ~recover body = run_op_on t ctx ~recover body ()
 
   (* Alias the untyped surface the typed wrappers delegate to, before the
      submodule shadows the names. *)
   let untyped_alloc = alloc
-  let untyped_run_op = run_op
 
   (* The typestate facade.  Every wrapper performs exactly the instrumented
      calls of the untyped spelling it replaces — witness bookkeeping is
-     plain OCaml state and the protocol hooks are a single option check
-     when no monitor/oracle is attached — so converting a data structure
-     to this surface changes no schedule and no golden trace. *)
+     plain OCaml state — so converting a data structure to this surface
+     changes no schedule and no golden trace.  With no monitor or oracle
+     attached, the protocol hooks are option checks that build no event:
+     guards are bare pointers and [acquire] allocates nothing. *)
   module Typed = struct
     type session = S
-    type guard = { gp : Memory.Ptr.t }
+    type guard = Memory.Ptr.t
     type fresh = { fp : Memory.Ptr.t; mutable spent : bool }
     type unlinked = { up : Memory.Ptr.t; mutable consumed : bool }
 
+    let monitored t = Intf.Env.monitored t.env
     let observe t ctx ev = Intf.Env.observe t.env ctx ev
-    let decide t ctx point = Intf.Env.decide t.env ctx point
 
-    let run_op t ctx ~recover body =
-      untyped_run_op t ctx ~recover (fun () -> body S)
+    let run_op t ctx ~recover body = run_op_on t ctx ~recover body S
 
     let leave t ctx (_ : session) = Reclaimer.leave_qstate t.reclaimer ctx
     let enter t ctx (_ : session) = Reclaimer.enter_qstate t.reclaimer ctx
 
     let alloc t ctx arena =
       let p = untyped_alloc t ctx arena in
-      observe t ctx (Intf.Protocol.Fresh p);
+      if monitored t then observe t ctx (Intf.Protocol.Fresh p);
       { fp = p; spent = false }
 
     let fresh_ptr f = f.fp
@@ -163,26 +166,34 @@ module Make
 
     let sentinel t ctx f =
       spend f ~by:"sentinel";
-      observe t ctx (Intf.Protocol.Root f.fp);
+      if monitored t then observe t ctx (Intf.Protocol.Root f.fp);
       f.fp
 
     let expose t ctx f =
       spend f ~by:"expose";
-      observe t ctx (Intf.Protocol.Publish f.fp);
+      if monitored t then observe t ctx (Intf.Protocol.Publish f.fp);
       f.fp
 
     let abandon t ctx f =
       spend f ~by:"abandon";
-      observe t ctx (Intf.Protocol.Abandon f.fp);
+      if monitored t then observe t ctx (Intf.Protocol.Abandon f.fp);
       Pool.release t.pool ctx f.fp
 
+    let unverified () =
+      invalid_arg
+        (Printf.sprintf
+           "Typed.unverified: %s declares protect_ignores_verify but ran the \
+            verification"
+           Reclaimer.name)
+
     let acquire t ctx (_ : session) p ~verify =
-      match decide t ctx (Intf.Protocol.Acquire_point p) with
+      match Intf.Env.decide_acquire t.env ctx p with
       | Intf.Protocol.Grant ->
           let granted = Reclaimer.protect t.reclaimer ctx p ~verify in
-          observe t ctx
-            (Intf.Protocol.Acquire { p; granted; adversary = false });
-          if granted then Some { gp = p } else None
+          if monitored t then
+            observe t ctx
+              (Intf.Protocol.Acquire { p; granted; adversary = false });
+          if granted then p else raise_notrace Intf.Acquire_denied
       | Intf.Protocol.Adversary ->
           (* Simulate a concurrent removal between announce and validate:
              the verification fails.  A scheme that needs no validation
@@ -193,11 +204,13 @@ module Make
           let granted =
             Reclaimer.protect t.reclaimer ctx p ~verify:(fun () -> false)
           in
-          observe t ctx (Intf.Protocol.Acquire { p; granted; adversary = true });
+          if monitored t then
+            observe t ctx
+              (Intf.Protocol.Acquire { p; granted; adversary = true });
           if granted then Reclaimer.unprotect t.reclaimer ctx p;
-          None
+          raise_notrace Intf.Acquire_denied
 
-    let root_guard _t (_ : session) p = { gp = p }
+    let root_guard _t (_ : session) p = p
 
     let covered _t (_ : session) p =
       if not (Reclaimer.allows_retired_traversal || Reclaimer.sandboxed) then
@@ -205,76 +218,80 @@ module Make
           (Printf.sprintf
              "Typed.covered: %s protects per record, not per session"
              Reclaimer.name);
-      { gp = p }
+      p
 
-    let ptr g = g.gp
-    let release t ctx g = Reclaimer.unprotect t.reclaimer ctx g.gp
+    let ptr g = g
+    let release t ctx g = Reclaimer.unprotect t.reclaimer ctx g
     let release_all t ctx = Reclaimer.unprotect_all t.reclaimer ctx
-    let read _t ctx arena g field = Memory.Arena.read ctx arena g.gp field
-    let write _t ctx arena g field v = Memory.Arena.write ctx arena g.gp field v
+    let read _t ctx arena g field = Memory.Arena.read ctx arena g field
+    let write _t ctx arena g field v = Memory.Arena.write ctx arena g field v
 
     let get_const _t ctx arena g field =
-      Memory.Arena.get_const ctx arena g.gp field
+      Memory.Arena.get_const ctx arena g field
+
+    (* A lifecycle CAS: the oracle may defeat it without touching memory. *)
+    let decided_cas t ctx arena container field ~expect word =
+      match Intf.Env.decide_cas t.env ctx container with
+      | Intf.Protocol.Adversary -> false
+      | Intf.Protocol.Grant ->
+          Memory.Arena.cas ctx arena container field ~expect word
+
+    let publish t ctx f ~by =
+      spend f ~by;
+      if monitored t then observe t ctx (Intf.Protocol.Publish f.fp)
+
+    let unlink t ctx p =
+      if monitored t then observe t ctx (Intf.Protocol.Unlink p);
+      { up = p; consumed = false }
+
+    (* Explicit recursions rather than [List.iter]/[List.map] over partial
+       applications: no closure per CAS.  Witnesses are minted in list
+       order, so a monitor sees the [Unlink] events in that order. *)
+    let rec publish_all t ctx = function
+      | [] -> ()
+      | f :: fs ->
+          publish t ctx f ~by:"cas_at";
+          publish_all t ctx fs
+
+    let rec unlink_all t ctx = function
+      | [] -> []
+      | p :: ps ->
+          let w = unlink t ctx p in
+          w :: unlink_all t ctx ps
 
     let cas_at t ctx arena container field ~expect word ~publishes ~unlinks =
-      match decide t ctx (Intf.Protocol.Cas_point container) with
-      | Intf.Protocol.Adversary -> None
-      | Intf.Protocol.Grant ->
-          if Memory.Arena.cas ctx arena container field ~expect word then begin
-            List.iter
-              (fun f ->
-                spend f ~by:"cas_at";
-                observe t ctx (Intf.Protocol.Publish f.fp))
-              publishes;
-            Some
-              (List.map
-                 (fun p ->
-                   observe t ctx (Intf.Protocol.Unlink p);
-                   { up = p; consumed = false })
-                 unlinks)
-          end
-          else None
+      if decided_cas t ctx arena container field ~expect word then begin
+        publish_all t ctx publishes;
+        Some (unlink_all t ctx unlinks)
+      end
+      else None
 
     let cas t ctx arena g field ~expect word =
-      match
-        cas_at t ctx arena g.gp field ~expect word ~publishes:[] ~unlinks:[]
-      with
-      | Some _ -> true
-      | None -> false
+      decided_cas t ctx arena g field ~expect word
 
     let publish_cas t ctx arena g field ~expect f =
-      match
-        cas_at t ctx arena g.gp field ~expect
-          (f.fp : Memory.Ptr.t)
-          ~publishes:[ f ] ~unlinks:[]
-      with
-      | Some _ -> true
-      | None -> false
+      decided_cas t ctx arena g field ~expect f.fp
+      && begin
+           publish t ctx f ~by:"cas_at";
+           true
+         end
 
     let cas_unlink t ctx arena g field ~expect word ~unlinks =
-      cas_at t ctx arena g.gp field ~expect word ~publishes:[] ~unlinks
+      cas_at t ctx arena g field ~expect word ~publishes:[] ~unlinks
 
     let svar_cas_unlink t ctx sv ~expect word ~unlinks =
-      match decide t ctx (Intf.Protocol.Cas_point expect) with
+      match Intf.Env.decide_cas t.env ctx expect with
       | Intf.Protocol.Adversary -> None
       | Intf.Protocol.Grant ->
           if Runtime.Svar.cas ctx sv ~expect word then
-            Some
-              (List.map
-                 (fun p ->
-                   observe t ctx (Intf.Protocol.Unlink p);
-                   { up = p; consumed = false })
-                 unlinks)
+            Some (unlink_all t ctx unlinks)
           else None
 
     let publish_locked t ctx (_ : session) f =
-      spend f ~by:"publish_locked";
-      observe t ctx (Intf.Protocol.Publish f.fp);
+      publish t ctx f ~by:"publish_locked";
       f.fp
 
-    let unlink_locked t ctx (_ : session) p =
-      observe t ctx (Intf.Protocol.Unlink p);
-      { up = p; consumed = false }
+    let unlink_locked t ctx (_ : session) p = unlink t ctx p
 
     let unlinked_ptr w = w.up
 

@@ -50,6 +50,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let name = "stacktrack"
   let supports_crash_recovery = false
   let allows_retired_traversal = false
+  let protect_ignores_verify = true
   let sandboxed = true
 
   let create env pool =
@@ -121,17 +122,27 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
 
   let is_quiescent _t _ctx = false
 
+  (* Slot search in the local mirror (0 = free), as in Hp. *)
+  let rec free_slot mirror i ~full =
+    if i >= Array.length mirror then invalid_arg full
+    else if mirror.(i) = 0 then i
+    else free_slot mirror (i + 1) ~full
+
+  let rec slot_of mirror p i =
+    if i >= Array.length mirror then -1
+    else if mirror.(i) = p then i
+    else slot_of mirror p (i + 1)
+
   let protect t ctx p ~verify:_ =
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     let p = Memory.Ptr.unmark p in
-    let rec free_slot i =
-      if i >= t.k then
-        invalid_arg "Stacktrack.protect: out of pointer slots (raise hp_slots)"
-      else if l.mirror.(i) = 0 then i
-      else free_slot (i + 1)
+    let i =
+      free_slot l.mirror 0
+        ~full:"Stacktrack.protect: out of pointer slots (raise hp_slots)"
     in
-    l.mirror.(free_slot 0) <- p;
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
+    l.mirror.(i) <- p;
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
     l.seg_fill <- l.seg_fill + 1;
     (* the runtime check deciding whether to start a new transaction *)
     Runtime.Ctx.work ctx 12;
@@ -141,15 +152,12 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let unprotect t ctx p =
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     let p = Memory.Ptr.unmark p in
-    let rec go i =
-      if i < t.k then
-        if l.mirror.(i) = p then begin
-          Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
-          l.mirror.(i) <- 0
-        end
-        else go (i + 1)
-    in
-    go 0
+    let i = slot_of l.mirror p 0 in
+    if i >= 0 then begin
+      if Intf.Env.listening t.env then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
+      l.mirror.(i) <- 0
+    end
 
   let is_protected t ctx p =
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
@@ -173,7 +181,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
           + Scan_util.partition_and_release ctx bag ~protected:scanning
               ~release_block:(fun b -> P.release_block t.pool ctx b))
       l.bags;
-    if !released > 0 then
+    if !released > 0 && Intf.Env.listening t.env then
       Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep !released)
 
   let retire t ctx p =
@@ -181,7 +189,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       ctx.Runtime.Ctx.stats.Runtime.Ctx.retires + 1;
     Runtime.Ctx.work ctx 2;
     let p = Memory.Ptr.unmark p in
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     Bag.Blockbag.add l.bags.(Memory.Ptr.arena_id p) p;
     let total =
@@ -246,7 +255,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
               ~release:(fun ctx p -> P.release t.pool ctx p)
               ~release_block:(fun blk -> P.release_block t.pool ctx blk))
       l.bags;
-    if !released > 0 then
+    if !released > 0 && Intf.Env.listening t.env then
       Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep !released);
     !released
 end

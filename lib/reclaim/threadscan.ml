@@ -49,6 +49,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let name = "threadscan"
   let supports_crash_recovery = false
   let allows_retired_traversal = true
+  let protect_ignores_verify = true
   let sandboxed = false
 
   let create env pool =
@@ -113,34 +114,41 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let is_quiescent t ctx =
     Runtime.Shared_array.peek t.quiescent ctx.Runtime.Ctx.pid = 1
 
+  (* Slot search in the local mirror (0 = free), as in Hp. *)
+  let rec free_slot mirror i ~full =
+    if i >= Array.length mirror then invalid_arg full
+    else if mirror.(i) = 0 then i
+    else free_slot mirror (i + 1) ~full
+
+  let rec slot_of mirror p i =
+    if i >= Array.length mirror then -1
+    else if mirror.(i) = p then i
+    else slot_of mirror p (i + 1)
+
   (* Root registration: one plain write, no fence — the signal round makes
      announcements visible instead. *)
   let protect t ctx p ~verify:_ =
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     let p = Memory.Ptr.unmark p in
-    let rec free_slot i =
-      if i >= t.k then
-        invalid_arg "Threadscan.protect: out of root slots (raise hp_slots)"
-      else if l.mirror.(i) = 0 then i
-      else free_slot (i + 1)
+    let i =
+      free_slot l.mirror 0
+        ~full:"Threadscan.protect: out of root slots (raise hp_slots)"
     in
-    l.mirror.(free_slot 0) <- p;
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
+    l.mirror.(i) <- p;
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
     Runtime.Ctx.work ctx 1;
     true
 
   let unprotect t ctx p =
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     let p = Memory.Ptr.unmark p in
-    let rec go i =
-      if i < t.k then
-        if l.mirror.(i) = p then begin
-          Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
-          l.mirror.(i) <- 0
-        end
-        else go (i + 1)
-    in
-    go 0;
+    let i = slot_of l.mirror p 0 in
+    if i >= 0 then begin
+      if Intf.Env.listening t.env then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
+      l.mirror.(i) <- 0
+    end;
     Runtime.Ctx.work ctx 1
 
   let is_protected t ctx p =
@@ -221,7 +229,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
                 ~release:(fun ctx p -> P.release t.pool ctx p)
                 ~release_block:(fun b -> P.release_block t.pool ctx b))
       t.locals.(pid).bags;
-    if !released > 0 then
+    if !released > 0 && Intf.Env.listening t.env then
       Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep !released);
     Runtime.Svar.set ctx t.glock 0;
     !released
@@ -231,7 +239,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       ctx.Runtime.Ctx.stats.Runtime.Ctx.retires + 1;
     Runtime.Ctx.work ctx 2;
     let p = Memory.Ptr.unmark p in
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     Bag.Blockbag.add l.bags.(Memory.Ptr.arena_id p) p;
     let total =

@@ -46,6 +46,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let name = "vbr"
   let supports_crash_recovery = false
   let allows_retired_traversal = false
+  let protect_ignores_verify = false
   let sandboxed = true
 
   let create env pool =
@@ -82,12 +83,14 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     Memory.Arena.is_valid arena p
     && verify ()
     && begin
-         Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
+         if Intf.Env.listening t.env then
+           Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
          true
        end
 
   let unprotect t ctx p =
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect (Memory.Ptr.unmark p))
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect (Memory.Ptr.unmark p))
 
   let unprotect_all t ctx =
     Intf.Env.emit t.env ctx Memory.Smr_event.Unprotect_all
@@ -113,8 +116,10 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       l.bags;
     if !released > 0 then begin
       let v = Runtime.Svar.faa ctx t.version 1 in
-      Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (v + 1));
-      Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep !released)
+      if Intf.Env.listening t.env then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (v + 1));
+      if Intf.Env.listening t.env then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep !released)
     end;
     !released
 
@@ -123,7 +128,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       ctx.Runtime.Ctx.stats.Runtime.Ctx.retires + 1;
     Runtime.Ctx.work ctx 2;
     let p = Memory.Ptr.unmark p in
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
+    if Intf.Env.listening t.env then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     let bag = l.bags.(Memory.Ptr.arena_id p) in
     Bag.Blockbag.add bag p;
@@ -178,8 +184,10 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       l.bags;
     if !released > 0 then begin
       let v = Runtime.Svar.faa ctx t.version 1 in
-      Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (v + 1));
-      Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep !released)
+      if Intf.Env.listening t.env then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (v + 1));
+      if Intf.Env.listening t.env then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep !released)
     end;
     !released
 end

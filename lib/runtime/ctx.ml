@@ -96,7 +96,17 @@ let add_hook ctx f =
       prev c ~line kind);
   fun () -> ctx.hook <- prev
 
-let work ctx cost = access ctx ~line:0 (Work cost)
+(* The [Work c] kinds for every cost below the cap, built once: charging
+   local work hands the hook a shared value instead of boxing a fresh one
+   per call.  Costs at or above the cap (per-record scan charges, rare) are
+   boxed as before; either way the hook sees the same [Work c]. *)
+let work_kinds = Array.init 1024 (fun c -> Work c)
+
+let work ctx cost =
+  access ctx ~line:0
+    (if cost >= 0 && cost < Array.length work_kinds then
+       Array.unsafe_get work_kinds cost
+     else Work cost)
 let fence ctx = access ctx ~line:0 Fence
 let now ctx = ctx.now_impl ()
 let stall ctx cycles = ctx.stall_impl cycles

@@ -20,6 +20,7 @@ struct
   let create env pool = { env; pool }
   let supports_crash_recovery = false
   let allows_retired_traversal = true
+  let protect_ignores_verify = true
   let sandboxed = false
   let leave_qstate t ctx = Intf.Env.emit t.env ctx Memory.Smr_event.Leave_q
   let enter_qstate t ctx = Intf.Env.emit t.env ctx Memory.Smr_event.Enter_q
@@ -71,6 +72,9 @@ struct
   let name = "broken-hp"
   let supports_crash_recovery = false
   let allows_retired_traversal = false
+
+  (* True of this mutant: its [protect] skips the validation step. *)
+  let protect_ignores_verify = true
   let sandboxed = false
 
   let create env pool =
@@ -221,6 +225,7 @@ struct
   let name = "broken-vbr"
   let supports_crash_recovery = false
   let allows_retired_traversal = false
+  let protect_ignores_verify = true
 
   (* The bug, half one: no sandbox — stale accesses are not rolled back. *)
   let sandboxed = false
@@ -326,6 +331,7 @@ struct
   let name = "broken-hyaline"
   let supports_crash_recovery = false
   let allows_retired_traversal = true
+  let protect_ignores_verify = true
   let sandboxed = false
 
   let fresh_batch env n pid =

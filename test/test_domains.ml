@@ -91,6 +91,10 @@ module H_debra = H (RM_debra)
 module H_hp = H (RM_hp)
 module H_dplus = H (RM_dplus)
 
+(* Alcotest's checks are not domain-safe (they share the runner's log
+   queue), so worker domains only count what they would have failed on;
+   the main domain asserts the counts after the join. *)
+
 (* The arena's lock-free free list under real contention: domains hammer
    claim/release cycles; the live count and the no-double-free guarantee
    must survive. *)
@@ -101,6 +105,7 @@ let test_arena_freelist_parallel () =
       ~capacity:4096 ()
   in
   let group = Runtime.Group.create ~seed:9 n in
+  let corrupted = Atomic.make 0 in
   let body pid () =
     let ctx = Runtime.Group.ctx group pid in
     let rng = Random.State.make [| pid; 77 |] in
@@ -119,8 +124,8 @@ let test_arena_freelist_parallel () =
         match !held with
         | p :: rest ->
             (* our own records: field must still hold our pid *)
-            Alcotest.(check int) "no cross-corruption" pid
-              (Memory.Arena.read ctx arena p 0);
+            if Memory.Arena.read ctx arena p 0 <> pid then
+              Atomic.incr corrupted;
             Memory.Arena.release ctx arena p ~recycle:true;
             held := rest
         | [] -> ()
@@ -128,6 +133,7 @@ let test_arena_freelist_parallel () =
     List.iter (fun p -> Memory.Arena.release ctx arena p ~recycle:true) !held
   in
   ignore (Runtime.Domain_runner.run group (Array.init n body));
+  Alcotest.(check int) "no cross-corruption" 0 (Atomic.get corrupted);
   Alcotest.(check int) "all released" 0 (Memory.Arena.live_records arena);
   Alcotest.(check int) "allocs = frees" (Memory.Arena.total_allocs arena)
     (Memory.Arena.total_frees arena)
@@ -140,6 +146,7 @@ let test_shared_bag_parallel () =
   let bag = Bag.Shared_bag.create () in
   let group = Runtime.Group.create ~seed:3 n in
   let popped = Array.make n 0 in
+  let torn = Atomic.make 0 in
   let body pid () =
     let ctx = Runtime.Group.ctx group pid in
     let rng = Random.State.make [| pid; 31 |] in
@@ -152,12 +159,13 @@ let test_shared_bag_parallel () =
       if Random.State.bool rng then
         match Bag.Shared_bag.pop ctx bag with
         | Some b' ->
-            Alcotest.(check int) "block intact" 4 b'.Bag.Block.count;
+            if b'.Bag.Block.count <> 4 then Atomic.incr torn;
             popped.(pid) <- popped.(pid) + 1
         | None -> ()
     done
   in
   ignore (Runtime.Domain_runner.run group (Array.init n body));
+  Alcotest.(check int) "blocks intact" 0 (Atomic.get torn);
   let total_popped = Array.fold_left ( + ) 0 popped in
   Alcotest.(check int) "blocks conserved"
     ((n * per_proc) - total_popped)
