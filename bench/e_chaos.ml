@@ -152,8 +152,9 @@ let run ~scale =
     n range duration bound
     (String.concat ", " (List.map string_of_int seeds));
   let verdicts = ref [] in
-  let trial ?(params = params) ~structure ~(runner : runner) ~fault ~seed
-      ~expect_oom ~limbo_check ~budget () =
+  let trial ?(params = params) ~structure ~scheme ~fault ~seed ~expect_oom
+      ~limbo_check ~budget () =
+    let runner = canonical ~ds:structure scheme in
     let kind = [ fault ] in
     let plan = Chaos.random_plan ~seed ~nprocs:n kind in
     let expect_crash =
@@ -222,56 +223,44 @@ let run ~scale =
          the bound.  DEBRA+ gets ESRCH, counts the corpse as permanently
          quiescent, and stays bounded. *)
       List.iter
-        (fun (runner, limbo_check) ->
+        (fun (scheme, limbo_check) ->
           ignore
-            (trial ~structure:"bst" ~runner ~fault:`Crash ~seed
+            (trial ~structure:"bst" ~scheme ~fault:`Crash ~seed
                ~expect_oom:false ~limbo_check ~budget:(-1) ()))
         [
-          (B2_ebr.runner "ebr", `Unbounded);
-          (B2_qsbr.runner "qsbr", `Unbounded);
-          (B2_debra.runner "debra", `Unbounded);
-          (B2_debra_plus.runner "debra+", `Bounded);
+          ("ebr", `Unbounded);
+          ("qsbr", `Unbounded);
+          ("debra", `Unbounded);
+          ("debra+", `Bounded);
           (* Per-record schemes: a crash leaks at most k records; limbo
              stays bounded by their ordinary thresholds. *)
-          (B2_hp.runner "hp", `Bounded);
-          (B2_rc.runner "rc", `Bounded);
+          ("hp", `Bounded);
+          ("rc", `Bounded);
           (* Next-generation reclaimers: VBR frees full blocks eagerly on
              retire (a corpse pins nothing — versions, not grace periods,
              protect readers), and Hyaline discounts crashed processes
              when sealing batches, so both stay within the bound. *)
-          (B2_vbr.runner "vbr", `Bounded);
-          (B2_hyaline.runner "hyaline", `Bounded);
+          ("vbr", `Bounded);
+          ("hyaline", `Bounded);
         ];
       (* Same story on the list structure, for the schemes where the
-         contrast matters. *)
+         contrast matters.  The list's op rate at this scale retires too
+         few records to judge limbo shape; these trials check crash-safety
+         (invariants, sanitizer, survivors finishing) on a second
+         structure.  DEBRA+'s bound is still asserted. *)
       List.iter
-        (fun (runner, limbo_check) ->
+        (fun (scheme, limbo_check) ->
           ignore
-            (trial ~structure:"list" ~runner ~fault:`Crash ~seed
+            (trial ~structure:"list" ~scheme ~fault:`Crash ~seed
                ~expect_oom:false ~limbo_check ~budget:(-1) ()))
-        (match List.assoc_opt ("list", "exp2") Workload.Schemes.by_name with
-        | None -> []
-        | Some rs ->
-            List.filter_map
-              (fun (r : runner) ->
-                match r.rname with
-                (* The list's op rate at this scale retires too few records
-                   to judge limbo shape; these trials check crash-safety
-                   (invariants, sanitizer, survivors finishing) on a second
-                   structure.  DEBRA+'s bound is still asserted. *)
-                | "debra" -> Some (r, `Ignore)
-                | "debra+" -> Some (r, `Bounded)
-                | _ -> None)
-              rs);
+        [ ("debra", `Ignore); ("debra+", `Bounded) ];
       (* DEBRA+-specific fault kinds: die inside the signal handler, die
          right after neutralizing, and unreliable signal delivery. *)
       List.iter
         (fun fault ->
           ignore
-            (trial ~structure:"bst"
-               ~runner:(B2_debra_plus.runner "debra+")
-               ~fault ~seed ~expect_oom:false ~limbo_check:`Bounded
-               ~budget:(-1) ()))
+            (trial ~structure:"bst" ~scheme:"debra+" ~fault ~seed
+               ~expect_oom:false ~limbo_check:`Bounded ~budget:(-1) ()))
         [ `Crash_in_handler; `Crash_neutralizer; `Drop; `Delay ])
     seeds;
   (* --- E-oom: bounded memory. ------------------------------------- *)
@@ -290,21 +279,21 @@ let run ~scale =
   List.iter
     (fun seed ->
       List.iter
-        (fun ((runner : runner), expect_oom) ->
+        (fun (scheme, expect_oom) ->
           ignore
-            (trial ~params:oom_params ~structure:"bst" ~runner
+            (trial ~params:oom_params ~structure:"bst" ~scheme
                ~fault:(`Oom oom_headroom) ~seed ~expect_oom
                ~limbo_check:`Ignore ~budget:(-1) ()))
         [
-          (B1_none.runner "none", true);
-          (B2_debra.runner "debra", false);
-          (B2_debra_plus.runner "debra+", false);
-          (B2_hp.runner "hp", false);
+          ("none", true);
+          ("debra", false);
+          ("debra+", false);
+          ("hp", false);
           (* VBR's retire frees blocks immediately and Hyaline's batches
              drain at session boundaries: both keep inventory recyclable
              and must complete within the same headroom. *)
-          (B2_vbr.runner "vbr", false);
-          (B2_hyaline.runner "hyaline", false);
+          ("vbr", false);
+          ("hyaline", false);
         ])
     seeds;
   let verdicts = List.rev !verdicts in

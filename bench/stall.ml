@@ -32,8 +32,7 @@ let nprocs = 8
    bounded plateau vs unbounded growth — not the constant. *)
 let limbo_bound ~n ~block_capacity = 3 * n * n * block_capacity
 
-let scheme_runners () =
-  [ B2_ebr.runner "ebr"; B2_debra.runner "debra"; B2_debra_plus.runner "debra+" ]
+let schemes = [ "ebr"; "debra"; "debra+" ]
 
 let run ~scale =
   let duration = max (2 * scale.Experiments.duration) 2_400_000 in
@@ -93,7 +92,7 @@ let run ~scale =
         let o = r.run cfg in
         Experiments.record_outcome o;
         (r.rname, rec_, o))
-      (scheme_runners ())
+      (List.map (canonical ~ds:"bst") schemes)
   in
   (* Limbo time series, one row per sample epoch (thinned to ~12 rows). *)
   let series =

@@ -43,9 +43,9 @@ let run_explore ~ds ~scheme ~budget ~seed =
       (String.concat "|" Workload.Lin_harness.ds_names);
     exit 1
   end;
-  if not (List.mem scheme Workload.Lin_harness.scheme_names) then begin
+  if not (List.mem scheme Reclaim.Registry.names) then begin
     Printf.eprintf "--explore supports --scheme %s\n"
-      (String.concat "|" Workload.Lin_harness.scheme_names);
+      (String.concat "|" Reclaim.Registry.names);
     exit 1
   end;
   let cfg = { Workload.Lin_harness.default_config with seed } in

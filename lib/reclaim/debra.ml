@@ -44,6 +44,9 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let protect_ignores_verify = true
   let sandboxed = false
 
+  let discipline =
+    Memory.Smr_discipline.of_flags ~allows_retired_traversal ~sandboxed
+
   let create env pool =
     let n = Intf.Env.nprocs env in
     let arenas = Memory.Ptr.max_arenas in

@@ -50,6 +50,9 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let protect_ignores_verify = true
   let sandboxed = false
 
+  let discipline =
+    Memory.Smr_discipline.of_flags ~allows_retired_traversal ~sandboxed
+
   let epoch_of ann = ann land lnot 1
   let quiescent_bit ann = ann land 1 = 1
   let is_quiescent t ctx = quiescent_bit t.locals.(ctx.Runtime.Ctx.pid).ann

@@ -35,6 +35,9 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let protect_ignores_verify = false
   let sandboxed = false
 
+  let discipline =
+    Memory.Smr_discipline.of_flags ~allows_retired_traversal ~sandboxed
+
   let create env pool =
     let n = Intf.Env.nprocs env in
     let params = env.Intf.Env.params in

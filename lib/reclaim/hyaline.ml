@@ -80,6 +80,12 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let protect_ignores_verify = true
   let sandboxed = false
 
+  (* Batch reference counts: a batch is freed only after every session
+     charged at seal time has closed, which is exactly the retire-time
+     session snapshot [Grace_session] replays. *)
+  let discipline =
+    Memory.Smr_discipline.of_flags ~allows_retired_traversal ~sandboxed
+
   let fresh_batch env n pid =
     {
       bags =

@@ -231,6 +231,13 @@ module type RECLAIMER = sig
       instead of a fatal error. *)
   val sandboxed : bool
 
+  (** The rules a shadow checker (sanitizer, protocol analyzer) replays
+      this scheme's events against.  Derived from
+      [allows_retired_traversal] and [sandboxed] with
+      {!Memory.Smr_discipline.of_flags}; a scheme overrides only the
+      fields that do not follow from them. *)
+  val discipline : Memory.Smr_discipline.t
+
   val leave_qstate : t -> Runtime.Ctx.t -> unit
   val enter_qstate : t -> Runtime.Ctx.t -> unit
   val is_quiescent : t -> Runtime.Ctx.t -> bool
@@ -351,7 +358,13 @@ module type RECORD_MANAGER = sig
 
   type t
 
+  (** The reclaimer's name ("debra+", "hp", ...): the scheme registry's
+      key. *)
+  val name : string
+
+  (** The full assembly, "debra+(pool,bump)". *)
   val scheme_name : string
+
   val create : Env.t -> t
   val env : t -> Env.t
 
@@ -367,6 +380,7 @@ module type RECORD_MANAGER = sig
   val allows_retired_traversal : bool
   val protect_ignores_verify : bool
   val sandboxed : bool
+  val discipline : Memory.Smr_discipline.t
   val leave_qstate : t -> Runtime.Ctx.t -> unit
   val enter_qstate : t -> Runtime.Ctx.t -> unit
   val is_quiescent : t -> Runtime.Ctx.t -> bool

@@ -14,6 +14,16 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let allows_retired_traversal = true
   let protect_ignores_verify = true
   let sandboxed = false
+
+  (* Never frees, so no free can be premature, and limbo is not tracked:
+     retired records leak by design. *)
+  let discipline =
+    {
+      (Memory.Smr_discipline.of_flags ~allows_retired_traversal ~sandboxed) with
+      free = Skip;
+      track_limbo = false;
+    }
+
   let leave_qstate t ctx = Intf.Env.emit t ctx Memory.Smr_event.Leave_q
   let enter_qstate t ctx = Intf.Env.emit t ctx Memory.Smr_event.Enter_q
   let is_quiescent _t _ctx = true

@@ -50,6 +50,15 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let protect_ignores_verify = true
   let sandboxed = false
 
+  (* Quiescence is a point, not an interval: a batch is freed once every
+     process has announced a quiescent point since it was closed. *)
+  let discipline =
+    {
+      (Memory.Smr_discipline.of_flags ~allows_retired_traversal ~sandboxed) with
+      free = Grace_qpoint;
+      quiescence = Point;
+    }
+
   let fresh_batch env pid =
     {
       bags =

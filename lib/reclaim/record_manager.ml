@@ -21,6 +21,8 @@ module Make
     pressure : Intf.Pressure.t;
   }
 
+  let name = Reclaimer.name
+
   let scheme_name =
     Printf.sprintf "%s(%s,%s)" Reclaimer.name Pool.name Alloc.name
 
@@ -78,6 +80,7 @@ module Make
   let allows_retired_traversal = Reclaimer.allows_retired_traversal
   let protect_ignores_verify = Reclaimer.protect_ignores_verify
   let sandboxed = Reclaimer.sandboxed
+  let discipline = Reclaimer.discipline
   let leave_qstate t ctx = Reclaimer.leave_qstate t.reclaimer ctx
   let enter_qstate t ctx = Reclaimer.enter_qstate t.reclaimer ctx
   let is_quiescent t ctx = Reclaimer.is_quiescent t.reclaimer ctx

@@ -1,6 +1,7 @@
 (** StackTrack-style reclamation (Alistarh, Eugster, Herlihy, Matveev,
-    Shavit, EuroSys'14), over the simulated best-effort transactions of
-    [Htm.Stm] semantics (paper §3).
+    Shavit, EuroSys'14), with its hardware transactions modelled in this
+    module (paper §3): segments, their begin/commit cost, and the abort on
+    touching reclaimed memory, which the arena's generation check raises.
 
     The original splits every operation into short hardware transactions
     ("segments"); pointers live in registers during a segment and are
@@ -52,6 +53,9 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let allows_retired_traversal = false
   let protect_ignores_verify = true
   let sandboxed = true
+
+  let discipline =
+    Memory.Smr_discipline.of_flags ~allows_retired_traversal ~sandboxed
 
   let create env pool =
     let n = Intf.Env.nprocs env in

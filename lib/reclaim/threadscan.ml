@@ -52,6 +52,14 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let protect_ignores_verify = true
   let sandboxed = false
 
+  (* Traversal may cross retired records, but a free waits for a scan of
+     the announced roots rather than for a grace period. *)
+  let discipline =
+    {
+      (Memory.Smr_discipline.of_flags ~allows_retired_traversal ~sandboxed) with
+      free = Hazard_scan;
+    }
+
   let create env pool =
     let n = Intf.Env.nprocs env in
     let params = env.Intf.Env.params in

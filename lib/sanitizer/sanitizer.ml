@@ -28,43 +28,31 @@
       DEBRA+'s signal handshake (signal, handler rprotects, ack, then scan)
       guarantees the scan sees every recovery announcement. *)
 
-type access_discipline = Lenient | Epoch | Hazard
-type free_discipline = Skip | Grace_session | Grace_qpoint | Hazard_scan
+type access_discipline = Memory.Smr_discipline.access =
+  | Lenient
+  | Epoch
+  | Hazard
+
+type free_discipline = Memory.Smr_discipline.free =
+  | Skip
+  | Grace_session
+  | Grace_qpoint
+  | Hazard_scan
 
 module Config = struct
-  type t = {
-    scheme : string;
-    access : access_discipline;
-    free : free_discipline;
-    track_limbo : bool;
-  }
+  type t = { scheme : string; discipline : Memory.Smr_discipline.t }
 
   let make ?(track_limbo = true) ~scheme ~access ~free () =
-    { scheme; access; free; track_limbo }
-
-  let of_flags ~scheme ~supports_crash_recovery:_ ~allows_retired_traversal
-      ~sandboxed () =
-    if sandboxed then
-      (* StackTrack: reading reclaimed memory is the abort mechanism, and a
-         scan cannot see other processes' unpublished register pointers.
-         VBR lands here too: it frees without any grace period and relies on
-         version re-validation, so a read of reclaimed memory is its
-         checkpoint rollback, not a violation. *)
-      make ~scheme ~access:Lenient ~free:Skip ()
-    else
-      match scheme with
-      | "none" -> make ~scheme ~access:Epoch ~free:Skip ~track_limbo:false ()
-      | "qsbr" -> make ~scheme ~access:Epoch ~free:Grace_qpoint ()
-      | "threadscan" -> make ~scheme ~access:Epoch ~free:Hazard_scan ()
-      | "hyaline" ->
-          (* batch reference counts: a batch is freed only after every
-             session charged at seal time has closed — exactly the
-             retire-time session snapshot [Grace_session] replays *)
-          make ~scheme ~access:Epoch ~free:Grace_session ()
-      | _ ->
-          if allows_retired_traversal then
-            make ~scheme ~access:Epoch ~free:Grace_session ()
-          else make ~scheme ~access:Hazard ~free:Hazard_scan ()
+    {
+      scheme;
+      discipline =
+        {
+          Memory.Smr_discipline.access;
+          free;
+          quiescence = Interval;
+          track_limbo;
+        };
+    }
 end
 
 (* [Double_retire] and [Free_without_retire] were deleted as checks: the
@@ -228,7 +216,7 @@ let holds_any tbl key = Hashtbl.mem tbl key
 let check_free t ctx r key =
   let ptr = key in
   let dead pid = Runtime.Group.is_crashed t.group pid in
-  (match t.config.free with
+  (match t.config.discipline.free with
   | Skip -> ()
   | Grace_session ->
       Array.iter
@@ -262,7 +250,7 @@ let check_free t ctx r key =
                    "pid %d holds a protection registered before retire (%s)"
                    pid (provenance r)))
         t.procs);
-  if t.config.free <> Skip then
+  if t.config.discipline.free <> Skip then
     Array.iteri
       (fun pid p ->
         if (not (dead pid)) && holds_any p.rprotects key then
@@ -289,7 +277,7 @@ let on_free t ctx key ~via =
           r.state <- Freed
       | Retired ->
           check_free t ctx r key;
-          if t.config.track_limbo then t.ledger <- t.ledger - 1;
+          if t.config.discipline.track_limbo then t.ledger <- t.ledger - 1;
           r.state <- Freed
       | Freed ->
           flag t ctx Double_free ~ptr:key
@@ -320,7 +308,7 @@ let on_event t ctx (ev : Memory.Smr_event.t) =
           | Published -> ()
           | Retired ->
               if
-                t.config.access = Hazard
+                t.config.discipline.access = Hazard
                 && not (holds_before ps.hazards key ~retire:r.retire_seq)
               then
                 flag t ctx Unprotected_access ~ptr:key
@@ -330,7 +318,7 @@ let on_event t ctx (ev : Memory.Smr_event.t) =
                         registered before retire (%s)"
                        (provenance r))
           | Freed ->
-              if t.config.access <> Lenient then
+              if t.config.discipline.access <> Lenient then
                 flag t ctx Use_after_free ~ptr:key
                   ~detail:
                     (Printf.sprintf "access to freed record (%s)"
@@ -355,8 +343,8 @@ let on_event t ctx (ev : Memory.Smr_event.t) =
           r.state <- Retired;
           r.retire_seq <- t.seq;
           r.retire_pid <- pid;
-          if t.config.track_limbo then t.ledger <- t.ledger + 1;
-          (match t.config.free with
+          if t.config.discipline.track_limbo then t.ledger <- t.ledger + 1;
+          (match t.config.discipline.free with
           | Grace_session ->
               let open_sessions = ref [] in
               Array.iteri
@@ -401,7 +389,7 @@ let with_checks t f =
     f
 
 let leak_check t ~limbo_size =
-  if t.config.track_limbo && t.ledger <> limbo_size then begin
+  if t.config.discipline.track_limbo && t.ledger <> limbo_size then begin
     t.seq <- t.seq + 1;
     let dkey = (Leak, Memory.Ptr.null) in
     if not (Hashtbl.mem t.seen dkey) then begin

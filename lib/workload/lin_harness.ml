@@ -188,50 +188,26 @@ module Mk (RM : Intf.RECORD_MANAGER) = struct
     | ds -> invalid_arg ("Lin_harness: unknown structure " ^ ds)
 end
 
-(* One pack per scheme, over the bench matrix's Record Managers (shared
-   pool behind the reusing schemes, so premature frees really recycle
-   memory and use-after-free has teeth). *)
-type pack = {
-  pname : string;
-  prun : ds:string -> config -> Sim.policy -> H.t;
-}
-
-module P_none = Mk (Schemes.RM1_none)
-module P_ebr = Mk (Schemes.RM2_ebr)
-module P_qsbr = Mk (Schemes.RM2_qsbr)
-module P_debra = Mk (Schemes.RM2_debra)
-module P_debra_plus = Mk (Schemes.RM2_debra_plus)
-module P_hp = Mk (Schemes.RM2_hp)
-module P_rc = Mk (Schemes.RM2_rc)
-module P_ts = Mk (Schemes.RM2_ts)
-module P_st = Mk (Schemes.RM2_st)
-module P_vbr = Mk (Schemes.RM2_vbr)
-module P_hyaline = Mk (Schemes.RM2_hyaline)
-
+(* One run function per registry scheme, under the registry's pairing
+   (shared pool behind the reusing schemes, so premature frees really
+   recycle memory and use-after-free has teeth). *)
 let packs =
-  [
-    { pname = "none"; prun = P_none.run };
-    { pname = "ebr"; prun = P_ebr.run };
-    { pname = "qsbr"; prun = P_qsbr.run };
-    { pname = "debra"; prun = P_debra.run };
-    { pname = "debra+"; prun = P_debra_plus.run };
-    { pname = "hp"; prun = P_hp.run };
-    { pname = "rc"; prun = P_rc.run };
-    { pname = "threadscan"; prun = P_ts.run };
-    { pname = "stacktrack"; prun = P_st.run };
-    { pname = "vbr"; prun = P_vbr.run };
-    { pname = "hyaline"; prun = P_hyaline.run };
-  ]
+  List.map
+    (fun e ->
+      let module RM = (val e.Registry.rm) in
+      let module P = Mk (RM) in
+      (Registry.name e, P.run))
+    Registry.all
 
-let scheme_names = List.map (fun p -> p.pname) packs
+let scheme_names = Registry.names
 
 let pack_of scheme =
-  match List.find_opt (fun p -> p.pname = scheme) packs with
-  | Some p -> p
+  match List.assoc_opt scheme packs with
+  | Some run -> run
   | None -> invalid_arg ("Lin_harness: unknown scheme " ^ scheme)
 
 (** One run of a matrix cell under an explicit policy — the replay path. *)
-let run_once ~ds ~scheme cfg policy = (pack_of scheme).prun ~ds cfg policy
+let run_once ~ds ~scheme cfg policy = pack_of scheme ~ds cfg policy
 
 (** Bounded exploration of one matrix cell; every schedule's history is
     checked against the structure's sequential spec, and any exception the
@@ -239,10 +215,10 @@ let run_once ~ds ~scheme cfg policy = (pack_of scheme).prun ~ds cfg policy
     rejects the cell with the schedule that triggered it. *)
 let explore ?(budget = 2) ?(max_runs = 2000) ?(wide = false) ?log
     ?(workers = 1) ~ds ~scheme cfg =
-  let p = pack_of scheme in
+  let run = pack_of scheme in
   let spec = spec_of_ds ds in
   Lincheck.Explore.explore ~budget ~max_runs ~wide ?log ~domains:workers
-    ~run_one:(fun policy -> p.prun ~ds cfg policy)
+    ~run_one:(fun policy -> run ~ds cfg policy)
     ~check:(fun h ->
       match Lincheck.Checker.check spec h with
       | Lincheck.Checker.Linearizable -> None

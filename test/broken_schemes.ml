@@ -22,6 +22,8 @@ struct
   let allows_retired_traversal = true
   let protect_ignores_verify = true
   let sandboxed = false
+  let discipline =
+    Memory.Smr_discipline.of_flags ~allows_retired_traversal ~sandboxed
   let leave_qstate t ctx = Intf.Env.emit t.env ctx Memory.Smr_event.Leave_q
   let enter_qstate t ctx = Intf.Env.emit t.env ctx Memory.Smr_event.Enter_q
   let is_quiescent _t _ctx = false
@@ -76,6 +78,8 @@ struct
   (* True of this mutant: its [protect] skips the validation step. *)
   let protect_ignores_verify = true
   let sandboxed = false
+  let discipline =
+    Memory.Smr_discipline.of_flags ~allows_retired_traversal ~sandboxed
 
   let create env pool =
     let n = Intf.Env.nprocs env in
@@ -229,6 +233,8 @@ struct
 
   (* The bug, half one: no sandbox — stale accesses are not rolled back. *)
   let sandboxed = false
+  let discipline =
+    Memory.Smr_discipline.of_flags ~allows_retired_traversal ~sandboxed
 
   let create env pool =
     {
@@ -333,6 +339,8 @@ struct
   let allows_retired_traversal = true
   let protect_ignores_verify = true
   let sandboxed = false
+  let discipline =
+    Memory.Smr_discipline.of_flags ~allows_retired_traversal ~sandboxed
 
   let fresh_batch env n pid =
     {

@@ -116,11 +116,6 @@ let sequential structure () =
 module Ttl_harness (RM : Reclaim.Intf.RECORD_MANAGER) = struct
   module S = Kv.Store.Make (RM)
 
-  let base_scheme =
-    match String.index_opt RM.scheme_name '(' with
-    | Some i -> String.sub RM.scheme_name 0 i
-    | None -> RM.scheme_name
-
   let run () =
     let n = 3 in
     let group = Runtime.Group.create ~seed:5 n in
@@ -132,10 +127,7 @@ module Ttl_harness (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     let san =
       Sanitizer.create
         ~config:
-          (Sanitizer.Config.of_flags ~scheme:base_scheme
-             ~supports_crash_recovery:RM.supports_crash_recovery
-             ~allows_retired_traversal:RM.allows_retired_traversal
-             ~sandboxed:RM.sandboxed ())
+          { Sanitizer.Config.scheme = RM.name; discipline = RM.discipline }
         ~heap ~group
     in
     let retires = ref 0 in
@@ -171,11 +163,11 @@ module Ttl_harness (RM : Reclaim.Intf.RECORD_MANAGER) = struct
         S.flush t ctx0;
         Sanitizer.leak_check san ~limbo_size:(S.limbo t));
     Memory.Heap.remove_sink heap sub;
-    Alcotest.(check string) (base_scheme ^ ": sanitizer clean") ""
+    Alcotest.(check string) (RM.name ^ ": sanitizer clean") ""
       (Sanitizer.report san);
-    Alcotest.(check bool) (base_scheme ^ ": retires flowed") true (!retires > 0);
+    Alcotest.(check bool) (RM.name ^ ": retires flowed") true (!retires > 0);
     Alcotest.(check bool)
-      (base_scheme ^ ": expiry observed")
+      (RM.name ^ ": expiry observed")
       true (!expired_misses > 0)
 end
 

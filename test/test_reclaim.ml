@@ -522,10 +522,7 @@ module Drain (RM : Intf.RECORD_MANAGER) = struct
         ~capacity:4096
     in
     let config =
-      Sanitizer.Config.of_flags ~scheme
-        ~supports_crash_recovery:RM.supports_crash_recovery
-        ~allows_retired_traversal:RM.allows_retired_traversal
-        ~sandboxed:RM.sandboxed ()
+      { Sanitizer.Config.scheme; discipline = RM.discipline }
     in
     let san = Sanitizer.create ~config ~heap ~group in
     let ctx0 = Runtime.Group.ctx group 0 in
@@ -544,7 +541,7 @@ module Drain (RM : Intf.RECORD_MANAGER) = struct
               RM.enter_qstate rm ctx)
             [ ctx0; ctx1 ]
         done;
-        if config.Sanitizer.Config.track_limbo then
+        if RM.discipline.track_limbo then
           Alcotest.(check int) "mid-run: shadow ledger mirrors limbo"
             (RM.limbo_size rm)
             (Sanitizer.retired_unfreed san);
@@ -560,7 +557,7 @@ module Drain (RM : Intf.RECORD_MANAGER) = struct
         Sanitizer.leak_check san ~limbo_size:(RM.limbo_size rm));
     Alcotest.(check string) "no violations" "" (Sanitizer.report san);
     Alcotest.(check int) "limbo empty after flush" 0 (RM.limbo_size rm);
-    if config.Sanitizer.Config.track_limbo then
+    if RM.discipline.track_limbo then
       Alcotest.(check int) "shadow ledger empty" 0
         (Sanitizer.retired_unfreed san)
 end

@@ -221,8 +221,10 @@ let shed_under_pressure () =
   let san =
     Sanitizer.create
       ~config:
-        (Sanitizer.Config.of_flags ~scheme:"debra+" ~supports_crash_recovery:true
-           ~allows_retired_traversal:true ~sandboxed:false ())
+        {
+          Sanitizer.Config.scheme = "debra+";
+          discipline = Schemes.RM2_debra_plus.discipline;
+        }
       ~heap ~group
   in
   (* A brownout watermark of 1 retired block: any retire pressure at all

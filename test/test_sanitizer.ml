@@ -69,10 +69,7 @@ module Fuzz (RM : Intf.RECORD_MANAGER) = struct
   module Q = Ds.Ms_queue.Make (RM)
 
   let config ~scheme =
-    Sanitizer.Config.of_flags ~scheme
-      ~supports_crash_recovery:RM.supports_crash_recovery
-      ~allows_retired_traversal:RM.allows_retired_traversal
-      ~sandboxed:RM.sandboxed ()
+    { Sanitizer.Config.scheme; discipline = RM.discipline }
 
   (* Quiescent shutdown: cycle every process through enough operation
      boundaries that every grace period expires and every announcement is
