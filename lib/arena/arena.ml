@@ -76,16 +76,16 @@ let emit t ctx ev = Smr_event.emit t.events ctx ev
 (* Every event an arena emits carries a payload, so each emission point
    tests for a listener before building it: an unobserved access allocates
    nothing. *)
-let listening t = Smr_event.listening t.events
+let[@inline] listening t = Smr_event.listening t.events
 
-let access_event t ctx p kind =
+let[@inline] access_event t ctx p kind =
   if listening t then emit t ctx (Smr_event.Access (p, kind))
 
 let capacity t = t.capacity
 let record_bytes t = 8 * (t.words_per_record + 1) (* +1: header word *)
 let set_checking t b = t.checking <- b
 
-let line_of t slot word =
+let[@inline] line_of t slot word =
   Runtime.Addr.line_of ~base_line:t.base_line ((slot * t.words_per_record) + word)
 
 let describe t p =
@@ -93,19 +93,16 @@ let describe t p =
     t.state.(Ptr.slot p)
     t.gen.(Ptr.slot p)
 
-let validate t p =
-  let slot = Ptr.slot p in
-  if
-    slot < 0 || slot >= t.capacity
-    || t.state.(slot) <> state_allocated
-    || t.gen.(slot) land Ptr.gen_mask <> Ptr.gen p
-  then raise (Use_after_free (describe t p))
-
-let is_valid t p =
+let[@inline] is_valid t p =
   let slot = Ptr.slot p in
   slot >= 0 && slot < t.capacity
   && t.state.(slot) = state_allocated
   && t.gen.(slot) land Ptr.gen_mask = Ptr.gen p
+
+(* The failure path stays out of line, so a generation check inlines as
+   the comparisons above and one branch. *)
+let[@inline never] stale t p = raise (Use_after_free (describe t p))
+let[@inline] validate t p = if not (is_valid t p) then stale t p
 
 let note_alloc t ctx =
   ctx.Runtime.Ctx.stats.Runtime.Ctx.allocs <-
@@ -182,12 +179,8 @@ let release ctx t p ~recycle =
   (* Emitted before validation so a shadow checker can classify the free
      (double free, premature free) even when the arena itself raises. *)
   if listening t then emit t ctx (Smr_event.Free p);
+  if not (is_valid t p) then raise (Double_free (describe t p));
   let slot = Ptr.slot p in
-  if
-    slot < 0 || slot >= t.capacity
-    || t.state.(slot) <> state_allocated
-    || t.gen.(slot) land Ptr.gen_mask <> Ptr.gen p
-  then raise (Double_free (describe t p));
   t.gen.(slot) <- t.gen.(slot) + 1;
   t.state.(slot) <- state_unallocated;
   ctx.Runtime.Ctx.stats.Runtime.Ctx.frees <-
@@ -204,39 +197,35 @@ let release ctx t p ~recycle =
     push ()
   end
 
-let check t p = if t.checking then validate t p
+let[@inline] check t p = if t.checking then validate t p
 
-let mut_index t p f =
+let[@inline] mut_index t p f =
   assert (f >= 0 && f < t.mut_fields);
   (Ptr.slot p * t.mut_fields) + f
 
-let const_index t p f =
+let[@inline] const_index t p f =
   assert (f >= 0 && f < t.const_fields);
   (Ptr.slot p * t.const_fields) + f
 
-let read ctx t p f =
+let[@inline] read ctx t p f =
   Runtime.Ctx.access ctx ~line:(line_of t (Ptr.slot p) f) Runtime.Ctx.Read;
   access_event t ctx p Smr_event.Read;
   check t p;
   Atomic.get t.data_mut.(mut_index t p f)
 
-let read_opt ctx t p f =
-  Runtime.Ctx.access ctx ~line:(line_of t (Ptr.slot p) f) Runtime.Ctx.Read;
-  if is_valid t p then Some (Atomic.get t.data_mut.(mut_index t p f)) else None
-
-let write ctx t p f v =
+let[@inline] write ctx t p f v =
   Runtime.Ctx.access ctx ~line:(line_of t (Ptr.slot p) f) Runtime.Ctx.Write;
   access_event t ctx p Smr_event.Write;
   check t p;
   Atomic.set t.data_mut.(mut_index t p f) v
 
-let cas ctx t p f ~expect v =
+let[@inline] cas ctx t p f ~expect v =
   Runtime.Ctx.access ctx ~line:(line_of t (Ptr.slot p) f) Runtime.Ctx.Cas;
   access_event t ctx p Smr_event.Cas;
   check t p;
   Atomic.compare_and_set t.data_mut.(mut_index t p f) expect v
 
-let get_const ctx t p f =
+let[@inline] get_const ctx t p f =
   Runtime.Ctx.access ctx
     ~line:(line_of t (Ptr.slot p) (t.mut_fields + f))
     Runtime.Ctx.Read;
@@ -244,7 +233,7 @@ let get_const ctx t p f =
   check t p;
   t.data_const.(const_index t p f)
 
-let set_const ctx t p f v =
+let[@inline] set_const ctx t p f v =
   Runtime.Ctx.access ctx
     ~line:(line_of t (Ptr.slot p) (t.mut_fields + f))
     Runtime.Ctx.Write;

@@ -96,10 +96,6 @@ val is_valid : t -> Ptr.t -> bool
 
 val read : Runtime.Ctx.t -> t -> Ptr.t -> int -> int
 
-(** [read_opt ctx t p f] is [read] but returns [None] instead of raising on
-    a freed or stale pointer — the hook for transactional layers that must
-    treat use-after-free as an abort rather than a crash (HTM semantics). *)
-val read_opt : Runtime.Ctx.t -> t -> Ptr.t -> int -> int option
 val write : Runtime.Ctx.t -> t -> Ptr.t -> int -> int -> unit
 val cas : Runtime.Ctx.t -> t -> Ptr.t -> int -> expect:int -> int -> bool
 

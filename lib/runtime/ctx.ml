@@ -47,6 +47,12 @@ let fresh_stats () =
     signals_ignored = 0;
   }
 
+(* The default hook: one shared closure that [access] recognises by physical
+   equality and skips, so an unobserved access makes no indirect call.
+   Saving and restoring [ctx.hook] (as the simulator and [add_hook] do)
+   keeps the fast path, since what is restored is this same closure. *)
+let no_hook : t -> line:int -> access_kind -> unit = fun _ ~line:_ _ -> ()
+
 let make ~pid ~nprocs ~seed =
   {
     pid;
@@ -54,18 +60,21 @@ let make ~pid ~nprocs ~seed =
     sig_pending = Atomic.make false;
     sig_mask = 0;
     handler = (fun _ -> ());
-    hook = (fun _ ~line:_ _ -> ());
+    hook = no_hook;
     now_impl = (fun () -> 0);
     stall_impl = (fun _ -> ());
     rng = Random.State.make [| seed; pid |];
     stats = fresh_stats ();
   }
 
-let poll ctx =
-  if ctx.sig_mask = 0 && Atomic.get ctx.sig_pending then begin
-    Atomic.set ctx.sig_pending false;
-    ctx.handler ctx
-  end
+(* The delivery itself stays out of line: [poll] inlines into every access
+   as a mask test and one atomic load. *)
+let[@inline never] deliver ctx =
+  Atomic.set ctx.sig_pending false;
+  ctx.handler ctx
+
+let[@inline] poll ctx =
+  if ctx.sig_mask = 0 && Atomic.get ctx.sig_pending then deliver ctx
 
 (* Masking defers handler delivery; the pending flag stays set, so the
    handler runs at the first access after the outermost [unmask] — the
@@ -77,7 +86,7 @@ let unmask ctx =
   assert (ctx.sig_mask > 0);
   ctx.sig_mask <- ctx.sig_mask - 1
 
-let access ctx ~line kind =
+let[@inline] access ctx ~line kind =
   poll ctx;
   let s = ctx.stats in
   (match kind with
@@ -86,7 +95,8 @@ let access ctx ~line kind =
   | Cas -> s.cass <- s.cass + 1
   | Fence -> s.fences <- s.fences + 1
   | Work c -> s.local_work <- s.local_work + c);
-  ctx.hook ctx ~line kind
+  let hook = ctx.hook in
+  if hook != no_hook then hook ctx ~line kind
 
 let add_hook ctx f =
   let prev = ctx.hook in

@@ -55,7 +55,11 @@ type t = {
           [sig_pending] is set.  Default: ignore. *)
   mutable hook : t -> line:int -> access_kind -> unit;
       (** instrumentation hook; the simulator charges cache-model costs and
-          yields to the scheduler here.  Default: no-op. *)
+          yields to the scheduler here.  Default: a shared no-op closure
+          that {!access} recognises by physical equality and never calls,
+          so an unobserved access makes no indirect call.  Saving this
+          field and restoring it later (as the simulator does) restores
+          that fast path; install hooks with {!add_hook}. *)
   mutable now_impl : unit -> int;
       (** current time in cycles (virtual under the simulator, scaled
           wall-clock under domains). *)
@@ -87,7 +91,10 @@ val mask : t -> unit
 val unmask : t -> unit
 
 (** [access ctx ~line kind] records one instrumented shared-memory access:
-    polls the signal flag, updates statistics, and invokes the hook. *)
+    polls the signal flag (running a pending handler first), updates
+    statistics, and invokes the hook if one is installed.  It is inlined
+    at every call site; with the default hook it amounts to the poll, one
+    counter increment and one branch. *)
 val access : t -> line:int -> access_kind -> unit
 
 (** [add_hook ctx f] composes [f] in front of the currently-installed hook

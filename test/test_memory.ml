@@ -1,6 +1,7 @@
 (* Property and unit tests for the memory substrate: pointer packing, the
    arena lifecycle (Fig. 1 of the paper), generation-based use-after-free
-   detection, and the virtual address space. *)
+   detection, the virtual address space, and the instrumented access path
+   of [Runtime.Ctx]. *)
 
 let ctx () = Runtime.Ctx.make ~pid:0 ~nprocs:1 ~seed:1
 
@@ -166,6 +167,100 @@ let test_addr () =
     (Runtime.Addr.line_of ~base_line:base 8
     > Runtime.Addr.line_of ~base_line:base 7)
 
+(* The instrumented access path.  With no hook installed, [Ctx.access]
+   skips the hook call; the counters and the signal poll must not notice. *)
+let test_access_unhooked () =
+  let c = ctx () in
+  let v = Runtime.Svar.make 0 in
+  ignore (Runtime.Svar.get c v);
+  Runtime.Svar.set c v 1;
+  ignore (Runtime.Svar.cas c v ~expect:1 2);
+  ignore (Runtime.Svar.faa c v 1);
+  Runtime.Ctx.fence c;
+  Runtime.Ctx.work c 5;
+  Runtime.Ctx.work c 5000;
+  let a = mk_arena () in
+  let p = Memory.Arena.claim_fresh c a in
+  Memory.Arena.write c a p 0 7;
+  ignore (Memory.Arena.read c a p 0);
+  let s = c.Runtime.Ctx.stats in
+  Alcotest.(check (list int))
+    "reads, writes, cass, fences" [ 2; 2; 2; 1 ]
+    [ s.reads; s.writes; s.cass; s.fences ];
+  (* [claim_fresh] charges 2 cycles of work of its own. *)
+  Alcotest.(check int) "local work" 5007 s.local_work;
+  let handled = ref 0 in
+  c.handler <- (fun _ -> incr handled);
+  Atomic.set c.sig_pending true;
+  Alcotest.(check int) "not before the next access" 0 !handled;
+  ignore (Runtime.Svar.get c v);
+  Alcotest.(check int) "handler ran at the access" 1 !handled;
+  Alcotest.(check bool) "pending cleared" false (Atomic.get c.sig_pending);
+  ignore (Memory.Arena.read c a p 0);
+  Alcotest.(check int) "once" 1 !handled
+
+let test_add_hook () =
+  let c = ctx () in
+  let default = c.Runtime.Ctx.hook in
+  let v = Runtime.Svar.make 0 in
+  let log = ref [] in
+  let hook name _ ~line _ = log := (name, line) :: !log in
+  let remove_a = Runtime.Ctx.add_hook c (hook "a") in
+  let remove_b = Runtime.Ctx.add_hook c (hook "b") in
+  ignore (Runtime.Svar.get c v);
+  Runtime.Svar.set c v 1;
+  let l = Runtime.Svar.line v in
+  Alcotest.(check (list (pair string int)))
+    "every access, newest hook first"
+    [ ("b", l); ("a", l); ("b", l); ("a", l) ]
+    (List.rev !log);
+  (* A pending signal is delivered before the hook sees the access. *)
+  log := [];
+  c.handler <- (fun _ -> log := ("handler", 0) :: !log);
+  Atomic.set c.sig_pending true;
+  ignore (Runtime.Svar.get c v);
+  Alcotest.(check (list (pair string int)))
+    "handler, then hooks" [ ("handler", 0); ("b", l); ("a", l) ]
+    (List.rev !log);
+  log := [];
+  remove_b ();
+  ignore (Runtime.Svar.get c v);
+  Alcotest.(check (list (pair string int)))
+    "removed hook no longer called" [ ("a", l) ] (List.rev !log);
+  log := [];
+  remove_a ();
+  ignore (Runtime.Svar.get c v);
+  Alcotest.(check (list (pair string int))) "no hook left" [] !log;
+  Alcotest.(check bool) "default restored" true (c.hook == default);
+  (* The simulator's save/restore of the field directly. *)
+  let saved = c.hook in
+  c.hook <- (fun c' ~line k -> hook "sim" c' ~line k; saved c' ~line k);
+  ignore (Runtime.Svar.get c v);
+  c.hook <- saved;
+  ignore (Runtime.Svar.get c v);
+  Alcotest.(check (list (pair string int)))
+    "direct save/restore" [ ("sim", l) ] !log;
+  Alcotest.(check int) "reads counted throughout" 6 c.stats.reads
+
+let test_masked_delivery () =
+  let c = ctx () in
+  let v = Runtime.Svar.make 0 in
+  let handled = ref 0 in
+  c.Runtime.Ctx.handler <- (fun _ -> incr handled);
+  Runtime.Ctx.mask c;
+  Runtime.Ctx.mask c;
+  Atomic.set c.sig_pending true;
+  ignore (Runtime.Svar.get c v);
+  Runtime.Ctx.unmask c;
+  ignore (Runtime.Svar.get c v);
+  Alcotest.(check int) "deferred while masked" 0 !handled;
+  Alcotest.(check bool) "still pending" true (Atomic.get c.sig_pending);
+  Runtime.Ctx.unmask c;
+  Alcotest.(check int) "not at the unmask itself" 0 !handled;
+  ignore (Runtime.Svar.get c v);
+  Alcotest.(check int) "delivered after the outermost unmask" 1 !handled;
+  Alcotest.(check int) "reads counted while masked" 3 c.stats.reads
+
 let () =
   Alcotest.run "memory"
     [
@@ -186,5 +281,11 @@ let () =
         [
           Alcotest.test_case "dispatch" `Quick test_heap_dispatch;
           Alcotest.test_case "addr lines" `Quick test_addr;
+        ] );
+      ( "ctx",
+        [
+          Alcotest.test_case "unhooked access" `Quick test_access_unhooked;
+          Alcotest.test_case "add_hook" `Quick test_add_hook;
+          Alcotest.test_case "masked delivery" `Quick test_masked_delivery;
         ] );
     ]
