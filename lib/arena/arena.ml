@@ -11,8 +11,30 @@ type budget = { mutable limit : int; b_live : int Atomic.t }
 
 let budget_unlimited () = { limit = -1; b_live = Atomic.make 0 }
 
-let state_unallocated = 0
-let state_allocated = 1
+(* One row of [stride = 1 + mut_fields + const_fields] words per record:
+   a header word, then the mutable words, then the constant words.  The
+   header packs [gen lsl 1 lor allocated]; the generation only grows. *)
+let[@inline] header ~gen ~allocated = (gen lsl 1) lor Bool.to_int allocated
+let[@inline] header_gen h = h lsr 1
+let[@inline] header_allocated h = h land 1 = 1
+
+(* The bits of a header that a pointer's generation field can match. *)
+let header_mask = header ~gen:Ptr.gen_mask ~allocated:true
+
+(* Atomic operations on one element of [rows], with [Atomic]'s seq-cst
+   ordering (arena_stubs.c).  They skip the bounds check, so every call
+   goes through [cell] below. *)
+external atomic_load : int array -> (int[@untagged]) -> int
+  = "arena_atomic_load_byte" "arena_atomic_load"
+[@@noalloc]
+
+external atomic_store : int array -> (int[@untagged]) -> int -> unit
+  = "arena_atomic_store_byte" "arena_atomic_store"
+[@@noalloc]
+
+external atomic_cas : int array -> (int[@untagged]) -> int -> int -> bool
+  = "arena_atomic_cas_byte" "arena_atomic_cas"
+[@@noalloc]
 
 type t = {
   heap_id : int;
@@ -20,16 +42,13 @@ type t = {
   mut_fields : int;
   const_fields : int;
   capacity : int;
-  data_mut : int Atomic.t array;  (* capacity * mut_fields *)
-  data_const : int array;  (* capacity * const_fields *)
-  state : int array;  (* per slot *)
-  gen : int array;  (* per slot, monotonically increasing *)
+  stride : int;
+  rows : int array;  (* capacity * stride *)
   free_next : int array;  (* per slot: Treiber-stack link *)
   free_head : int Atomic.t;  (* top slot of the free list, -1 = empty *)
   bump : int Atomic.t;  (* next never-used slot *)
   base_line : int;
   words_per_record : int;
-  mutable checking : bool;
   budget : budget;
   events : Smr_event.hub;
   live : int Atomic.t;
@@ -44,22 +63,21 @@ let create ?events ?budget ~heap_id ~name ~mut_fields ~const_fields ~capacity
   let events = match events with Some h -> h | None -> Smr_event.hub () in
   let budget = match budget with Some b -> b | None -> budget_unlimited () in
   let words_per_record = mut_fields + const_fields in
+  let stride = 1 + words_per_record in
   {
     heap_id;
     name;
     mut_fields;
     const_fields;
     capacity;
-    data_mut = Array.init (capacity * mut_fields) (fun _ -> Atomic.make 0);
-    data_const = Array.make (max 1 (capacity * const_fields)) 0;
-    state = Array.make capacity state_unallocated;
-    gen = Array.make capacity 0;
+    stride;
+    (* All zero: every header is generation 0, unallocated. *)
+    rows = Array.make (capacity * stride) 0;
     free_next = Array.make capacity (-1);
     free_head = Atomic.make (-1);
     bump = Atomic.make 0;
     base_line = Runtime.Addr.reserve_words (capacity * max 1 words_per_record);
     words_per_record;
-    checking = true;
     budget;
     events;
     live = Atomic.make 0;
@@ -82,22 +100,25 @@ let[@inline] access_event t ctx p kind =
   if listening t then emit t ctx (Smr_event.Access (p, kind))
 
 let capacity t = t.capacity
-let record_bytes t = 8 * (t.words_per_record + 1) (* +1: header word *)
-let set_checking t b = t.checking <- b
+let record_bytes t = 8 * t.stride
 
 let[@inline] line_of t slot word =
   Runtime.Addr.line_of ~base_line:t.base_line ((slot * t.words_per_record) + word)
 
-let describe t p =
-  Printf.sprintf "%s: ptr %s (slot state=%d gen=%d)" t.name (Ptr.to_string p)
-    t.state.(Ptr.slot p)
-    t.gen.(Ptr.slot p)
+let[@inline] header_index t slot = slot * t.stride
 
+let describe t p =
+  let h = t.rows.(header_index t (Ptr.slot p)) in
+  Printf.sprintf "%s: ptr %s (slot state=%d gen=%d)" t.name (Ptr.to_string p)
+    (Bool.to_int (header_allocated h))
+    (header_gen h)
+
+(* The generation check: one load of the header and one compare. *)
 let[@inline] is_valid t p =
   let slot = Ptr.slot p in
   slot >= 0 && slot < t.capacity
-  && t.state.(slot) = state_allocated
-  && t.gen.(slot) land Ptr.gen_mask = Ptr.gen p
+  && t.rows.(header_index t slot) land header_mask
+     = header ~gen:(Ptr.gen p) ~allocated:true
 
 (* The failure path stays out of line, so a generation check inlines as
    the comparisons above and one branch. *)
@@ -130,6 +151,14 @@ let charge_budget t =
 
 let uncharge_budget t = ignore (Atomic.fetch_and_add t.budget.b_live (-1))
 
+(* Sets the slot's allocated bit and returns the pointer to its current
+   generation. *)
+let mark_allocated t slot =
+  let i = header_index t slot in
+  let gen = header_gen t.rows.(i) in
+  t.rows.(i) <- header ~gen ~allocated:true;
+  Ptr.make ~arena:t.heap_id ~slot ~gen
+
 let claim_fresh ctx t =
   Runtime.Ctx.work ctx 2;
   charge_budget t;
@@ -138,9 +167,8 @@ let claim_fresh ctx t =
     uncharge_budget t;
     raise (Arena_full t.name)
   end;
-  t.state.(slot) <- state_allocated;
+  let p = mark_allocated t slot in
   note_alloc t ctx;
-  let p = Ptr.make ~arena:t.heap_id ~slot ~gen:t.gen.(slot) in
   if listening t then emit t ctx (Smr_event.Alloc p);
   p
 
@@ -168,9 +196,8 @@ let claim_recycled ctx t =
           in
           push ();
           raise e);
-      t.state.(slot) <- state_allocated;
+      let p = mark_allocated t slot in
       note_alloc t ctx;
-      let p = Ptr.make ~arena:t.heap_id ~slot ~gen:t.gen.(slot) in
       if listening t then emit t ctx (Smr_event.Alloc p);
       Some p
 
@@ -181,8 +208,8 @@ let release ctx t p ~recycle =
   if listening t then emit t ctx (Smr_event.Free p);
   if not (is_valid t p) then raise (Double_free (describe t p));
   let slot = Ptr.slot p in
-  t.gen.(slot) <- t.gen.(slot) + 1;
-  t.state.(slot) <- state_unallocated;
+  let i = header_index t slot in
+  t.rows.(i) <- header ~gen:(header_gen t.rows.(i) + 1) ~allocated:false;
   ctx.Runtime.Ctx.stats.Runtime.Ctx.frees <-
     ctx.Runtime.Ctx.stats.Runtime.Ctx.frees + 1;
   ignore (Atomic.fetch_and_add t.frees 1);
@@ -197,53 +224,59 @@ let release ctx t p ~recycle =
     push ()
   end
 
-let[@inline] check t p = if t.checking then validate t p
-
 let[@inline] mut_index t p f =
   assert (f >= 0 && f < t.mut_fields);
-  (Ptr.slot p * t.mut_fields) + f
+  header_index t (Ptr.slot p) + 1 + f
 
 let[@inline] const_index t p f =
   assert (f >= 0 && f < t.const_fields);
-  (Ptr.slot p * t.const_fields) + f
+  header_index t (Ptr.slot p) + 1 + t.mut_fields + f
+
+let[@inline never] bad_cell t i =
+  invalid_arg (Printf.sprintf "Arena %s: word %d outside the arena" t.name i)
+
+(* The bounds check that the atomic stubs leave out. *)
+let[@inline] cell t i =
+  if i < 0 || i >= Array.length t.rows then bad_cell t i;
+  i
 
 let[@inline] read ctx t p f =
   Runtime.Ctx.access ctx ~line:(line_of t (Ptr.slot p) f) Runtime.Ctx.Read;
   access_event t ctx p Smr_event.Read;
-  check t p;
-  Atomic.get t.data_mut.(mut_index t p f)
+  validate t p;
+  atomic_load t.rows (cell t (mut_index t p f))
 
 let[@inline] write ctx t p f v =
   Runtime.Ctx.access ctx ~line:(line_of t (Ptr.slot p) f) Runtime.Ctx.Write;
   access_event t ctx p Smr_event.Write;
-  check t p;
-  Atomic.set t.data_mut.(mut_index t p f) v
+  validate t p;
+  atomic_store t.rows (cell t (mut_index t p f)) v
 
 let[@inline] cas ctx t p f ~expect v =
   Runtime.Ctx.access ctx ~line:(line_of t (Ptr.slot p) f) Runtime.Ctx.Cas;
   access_event t ctx p Smr_event.Cas;
-  check t p;
-  Atomic.compare_and_set t.data_mut.(mut_index t p f) expect v
+  validate t p;
+  atomic_cas t.rows (cell t (mut_index t p f)) expect v
 
 let[@inline] get_const ctx t p f =
   Runtime.Ctx.access ctx
     ~line:(line_of t (Ptr.slot p) (t.mut_fields + f))
     Runtime.Ctx.Read;
   access_event t ctx p Smr_event.Read;
-  check t p;
-  t.data_const.(const_index t p f)
+  validate t p;
+  t.rows.(const_index t p f)
 
 let[@inline] set_const ctx t p f v =
   Runtime.Ctx.access ctx
     ~line:(line_of t (Ptr.slot p) (t.mut_fields + f))
     Runtime.Ctx.Write;
   access_event t ctx p Smr_event.Write;
-  check t p;
-  t.data_const.(const_index t p f) <- v
+  validate t p;
+  t.rows.(const_index t p f) <- v
 
-let peek t p f = Atomic.get t.data_mut.(mut_index t p f)
-let poke t p f v = Atomic.set t.data_mut.(mut_index t p f) v
-let peek_const t p f = t.data_const.(const_index t p f)
+let peek t p f = atomic_load t.rows (cell t (mut_index t p f))
+let poke t p f v = atomic_store t.rows (cell t (mut_index t p f)) v
+let peek_const t p f = t.rows.(const_index t p f)
 
 let budget t = t.budget
 let live_records t = Atomic.get t.live

@@ -5,6 +5,20 @@
     (keys, values — written once between allocation and publication).  Both
     kinds are mapped to virtual cache lines so the machine model prices them.
 
+    On the host, an arena is one flat [int array] with one row per record,
+    as a [malloc]'d struct would be: a header word packing
+    [gen lsl 1 lor allocated], then the mutable words, then the constant
+    words.  A validated read of a child pointer thus touches one row: the
+    generation check is one load and one compare of the header, and the
+    field is a neighbouring word.  The mutable words are read, written and
+    CASed through three C stubs ([arena_stubs.c]) with the same
+    sequentially consistent ordering as [Atomic.get], [Atomic.set] and
+    [Atomic.compare_and_set]; the header and the constant words use plain
+    reads and writes.  The stubs do not bounds-check, so every call is
+    preceded by an index check that raises [Invalid_argument].  The row
+    layout is host-side only: the virtual cache lines the machine model
+    prices are mapped exactly as before.
+
     The arena implements the record lifecycle of the paper's Figure 1:
     slots are {e unallocated} until claimed, {e allocated} until freed, and
     freeing bumps the slot's generation so that any access through a stale
@@ -61,11 +75,10 @@ val heap_id : t -> int
 val events : t -> Smr_event.hub
 val emit : t -> Runtime.Ctx.t -> Smr_event.t -> unit
 val capacity : t -> int
-val record_bytes : t -> int
 
-(** Enable/disable generation+state validation on every access (on by
-    default).  Benchmarks can disable it to measure pure scheme costs. *)
-val set_checking : t -> bool -> unit
+(** Bytes of one record: its header word plus its fields, which is the
+    host row exactly. *)
+val record_bytes : t -> int
 
 (** [claim_fresh ctx t] bump-allocates a never-used slot.
     @raise Arena_full when the arena is exhausted.
@@ -92,7 +105,9 @@ val validate : t -> Ptr.t -> unit
 (** [is_valid t p] is [validate] as a predicate. *)
 val is_valid : t -> Ptr.t -> bool
 
-(** Instrumented accesses to mutable (atomic) fields. *)
+(** Instrumented accesses to mutable (atomic) fields.  Each validates the
+    pointer's generation first.
+    @raise Use_after_free through a stale or freed pointer. *)
 
 val read : Runtime.Ctx.t -> t -> Ptr.t -> int -> int
 
@@ -104,7 +119,9 @@ val cas : Runtime.Ctx.t -> t -> Ptr.t -> int -> expect:int -> int -> bool
 val get_const : Runtime.Ctx.t -> t -> Ptr.t -> int -> int
 val set_const : Runtime.Ctx.t -> t -> Ptr.t -> int -> int -> unit
 
-(** Uninstrumented accessors for setup and test assertions. *)
+(** Uninstrumented accessors for setup and test assertions.  They do not
+    check the generation.
+    @raise Invalid_argument for a pointer outside the arena. *)
 
 val peek : t -> Ptr.t -> int -> int
 val poke : t -> Ptr.t -> int -> int -> unit

@@ -26,7 +26,6 @@ let new_arena t ~name ~mut_fields ~const_fields ~capacity =
 let arena_of t p = t.arenas.(Ptr.arena_id p)
 let arenas t = Array.to_list t.arenas
 let release t ctx p ~recycle = Arena.release ctx (arena_of t p) p ~recycle
-let set_checking t b = Array.iter (fun a -> Arena.set_checking a b) t.arenas
 
 let set_record_budget t limit = t.budget.Arena.limit <- limit
 let record_budget t = t.budget.Arena.limit

@@ -31,8 +31,6 @@ val arenas : t -> Arena.t list
 (** [release t ctx p ~recycle] frees [p] in its owning arena. *)
 val release : t -> Runtime.Ctx.t -> Ptr.t -> recycle:bool -> unit
 
-val set_checking : t -> bool -> unit
-
 (** Bounded-memory mode.  [set_record_budget t k] caps the number of
     simultaneously-live records across {e all} arenas of this heap at [k];
     further allocations raise {!Arena.Out_of_memory} until records are

@@ -1,13 +1,17 @@
 (* Symbolic SMR protocol check: every scheme x structure cell, both
-   branches of every guard/CAS within the deny budget.  Writes
-   PROTOCHECK_REPORT.json next to the cwd and exits nonzero if any cell
-   has a protocol violation or a crash.  Run with: dune build @protocheck *)
+   branches of every guard/CAS within the deny budget.  Writes the report
+   to the path given as the first argument (PROTOCHECK_REPORT.json in the
+   cwd by default) and exits nonzero if any cell has a protocol violation
+   or a crash.  Run with: dune build @protocheck *)
 
 let () =
   let t0 = Unix.gettimeofday () in
+  let path =
+    if Array.length Sys.argv > 1 then Sys.argv.(1) else "PROTOCHECK_REPORT.json"
+  in
   let cells = Protocheck.Matrix.all () in
   List.iter (fun c -> print_endline (Protocheck.Report.summary c)) cells;
-  Protocheck.Report.write ~path:"PROTOCHECK_REPORT.json" cells;
+  Protocheck.Report.write ~path cells;
   let dirty = List.filter (fun c -> not (Protocheck.Report.clean c)) cells in
   Printf.printf
     "\nprotocheck: %d cells, %d paths, %d violating cell(s) (%.1fs)\n"

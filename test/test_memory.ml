@@ -102,6 +102,120 @@ let test_capacity () =
   | _ -> Alcotest.fail "expected Arena_full"
   | exception Memory.Arena.Arena_full _ -> ()
 
+(* The row layout: each record is one row of the arena's flat array, its
+   header, mutable and constant words side by side.  Two domains
+   CAS-increment every mutable word of three adjacent records, so each
+   word is contended and sits next to its neighbours' words; a lost update
+   or a stray store into a header or constant word shows in the totals. *)
+let test_adjacent_rows_two_domains () =
+  let a = mk_arena () in
+  let c0 = ctx () in
+  let ps = Array.init 3 (fun _ -> Memory.Arena.claim_fresh c0 a) in
+  Array.iteri (fun i p -> Memory.Arena.set_const c0 a p 0 (100 + i)) ps;
+  let rounds = 50_000 in
+  let ready = Atomic.make 0 in
+  let worker pid () =
+    let c = Runtime.Ctx.make ~pid ~nprocs:2 ~seed:pid in
+    let rec incr p f =
+      let v = Memory.Arena.read c a p f in
+      if not (Memory.Arena.cas c a p f ~expect:v (v + 1)) then incr p f
+    in
+    (* Start together, so the two domains' increments overlap. *)
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    for _ = 1 to rounds do
+      Array.iter (fun p -> incr p 0; incr p 1) ps
+    done
+  in
+  let d = Domain.spawn (worker 1) in
+  worker 0 ();
+  Domain.join d;
+  Array.iteri
+    (fun i p ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "record %d: both mutable words" i)
+        [ 2 * rounds; 2 * rounds ]
+        [ Memory.Arena.peek a p 0; Memory.Arena.peek a p 1 ];
+      Alcotest.(check int)
+        (Printf.sprintf "record %d: constant word" i)
+        (100 + i) (Memory.Arena.peek_const a p 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "record %d: header still valid" i)
+        true (Memory.Arena.is_valid a p))
+    ps;
+  (* The never-claimed row after them is untouched as well. *)
+  let q = Memory.Arena.claim_fresh c0 a in
+  Alcotest.(check (list int)) "next row: generation 0, zero words" [ 0; 0; 0; 0 ]
+    [
+      Memory.Ptr.gen q;
+      Memory.Arena.read c0 a q 0;
+      Memory.Arena.read c0 a q 1;
+      Memory.Arena.get_const c0 a q 0;
+    ]
+
+(* Every instrumented accessor checks the header's generation, and a
+   recycled slot validates under its new generation only. *)
+let test_freed_pointer_accessors () =
+  let c = ctx () in
+  let a = mk_arena () in
+  let p = Memory.Arena.claim_fresh c a in
+  Memory.Arena.write c a p 0 1;
+  Memory.Arena.release c a p ~recycle:true;
+  let uaf name f =
+    match f () with
+    | _ -> Alcotest.failf "%s through a freed pointer not detected" name
+    | exception Memory.Arena.Use_after_free _ -> ()
+  in
+  uaf "read" (fun () -> ignore (Memory.Arena.read c a p 0));
+  uaf "write" (fun () -> Memory.Arena.write c a p 0 2);
+  uaf "cas" (fun () -> ignore (Memory.Arena.cas c a p 0 ~expect:1 2));
+  uaf "get_const" (fun () -> ignore (Memory.Arena.get_const c a p 0));
+  uaf "set_const" (fun () -> Memory.Arena.set_const c a p 0 2);
+  let p' = Option.get (Memory.Arena.claim_recycled c a) in
+  Alcotest.(check int) "same slot" (Memory.Ptr.slot p) (Memory.Ptr.slot p');
+  Alcotest.(check (pair bool bool)) "new generation valid, old one not"
+    (true, false)
+    (Memory.Arena.is_valid a p', Memory.Arena.is_valid a p);
+  Memory.Arena.write c a p' 0 5;
+  Memory.Arena.set_const c a p' 0 6;
+  Alcotest.(check (pair int int)) "recycled slot reads" (5, 6)
+    (Memory.Arena.read c a p' 0, Memory.Arena.get_const c a p' 0);
+  uaf "read after recycling" (fun () -> ignore (Memory.Arena.read c a p 0));
+  Memory.Arena.release c a p' ~recycle:false;
+  match Memory.Arena.release c a p' ~recycle:false with
+  | () -> Alcotest.fail "double free not detected"
+  | exception Memory.Arena.Double_free _ -> ()
+
+(* The atomic accessors skip OCaml's bounds check, so a pointer past the
+   last row must be refused before any memory is touched. *)
+let test_peek_poke_bounds () =
+  let c = ctx () in
+  let a =
+    Memory.Arena.create ~heap_id:0 ~name:"b" ~mut_fields:1 ~const_fields:1
+      ~capacity:2 ()
+  in
+  ignore (Memory.Arena.claim_fresh c a);
+  let last = Memory.Arena.claim_fresh c a in
+  Memory.Arena.poke a last 0 7;
+  Alcotest.(check int) "last row" 7 (Memory.Arena.peek a last 0);
+  let refused name f =
+    match f () with
+    | _ -> Alcotest.failf "%s beyond capacity not refused" name
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun p ->
+      refused "peek" (fun () -> ignore (Memory.Arena.peek a p 0));
+      refused "poke" (fun () -> Memory.Arena.poke a p 0 1);
+      refused "peek_const" (fun () -> ignore (Memory.Arena.peek_const a p 0)))
+    (Memory.Ptr.null
+    :: List.map
+         (fun slot -> Memory.Ptr.make ~arena:0 ~slot ~gen:0)
+         [ 2; 3; 1_000_000 ]);
+  Alcotest.(check int) "last row untouched" 7 (Memory.Arena.peek a last 0)
+
 (* Random alloc/free traffic agrees with a reference model. *)
 let prop_arena_model =
   QCheck.Test.make ~name:"arena agrees with reference model" ~count:100
@@ -275,6 +389,12 @@ let () =
           Alcotest.test_case "lifecycle" `Quick test_lifecycle;
           Alcotest.test_case "stale CAS detected" `Quick test_stale_cas_fails;
           Alcotest.test_case "capacity" `Quick test_capacity;
+          Alcotest.test_case "adjacent rows, two domains" `Quick
+            test_adjacent_rows_two_domains;
+          Alcotest.test_case "freed pointer, every accessor" `Quick
+            test_freed_pointer_accessors;
+          Alcotest.test_case "peek/poke beyond capacity" `Quick
+            test_peek_poke_bounds;
           QCheck_alcotest.to_alcotest prop_arena_model;
         ] );
       ( "heap",
